@@ -1,10 +1,13 @@
 // Throughput microbenchmarks (google-benchmark): the hot paths of the
 // library — level computation, packet cost evaluation, annealing sweeps,
-// and full simulated executions.
+// full simulated executions, and the list policies and HEFT planner on a
+// workflow-scale ladder (1k-16k tasks).
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "core/annealer.hpp"
@@ -15,7 +18,9 @@
 #include "core/sa_scheduler.hpp"
 #include "graph/analysis.hpp"
 #include "graph/generators.hpp"
+#include "sched/heft.hpp"
 #include "sched/hlf.hpp"
+#include "sched/registry.hpp"
 #include "sim/engine.hpp"
 #include "topology/builders.hpp"
 #include "workloads/registry.hpp"
@@ -268,5 +273,55 @@ void BM_AnnealGlobal(benchmark::State& state) {
   state.SetItemsProcessed(simulations);  // cost-oracle replays per second
 }
 BENCHMARK(BM_AnnealGlobal)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+/// The ladder rung of `n` tasks: gnp with ~8 edges per task (edge
+/// probability 8/(n-1)), generated once per size and process.
+const TaskGraph& ladder_graph(int n) {
+  static std::map<int, TaskGraph> graphs;
+  auto it = graphs.find(n);
+  if (it == graphs.end()) {
+    gen::GnpDagOptions options;
+    options.num_tasks = n;
+    options.edge_probability = 8.0 / static_cast<double>(n - 1);
+    options.seed = 12;
+    it = graphs.emplace(n, gen::gnp_dag(options)).first;
+  }
+  return it->second;
+}
+
+/// One registry policy run (plan, if any, plus simulation) on a ladder
+/// rung on hypercube:3; tasks scheduled per second.
+void BM_ListPolicy(benchmark::State& state, const std::string& policy) {
+  const TaskGraph& graph = ladder_graph(static_cast<int>(state.range(0)));
+  const Topology topology = topo::hypercube(3);
+  const CommModel comm = CommModel::paper_default();
+  const auto& registry = sched::PolicyRegistry::instance();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        registry.make(policy)->run(graph, topology, comm).result.makespan);
+  }
+  state.SetItemsProcessed(state.iterations() * graph.num_tasks());
+}
+void ladder_rungs(benchmark::internal::Benchmark* b) {
+  b->Arg(1000)->Arg(4000)->Arg(16000)->Unit(benchmark::kMillisecond);
+}
+BENCHMARK_CAPTURE(BM_ListPolicy, hlf, "hlf")->Apply(ladder_rungs);
+BENCHMARK_CAPTURE(BM_ListPolicy, list-hlf, "list-hlf")->Apply(ladder_rungs);
+BENCHMARK_CAPTURE(BM_ListPolicy, heft, "heft")->Apply(ladder_rungs);
+BENCHMARK_CAPTURE(BM_ListPolicy, dagprio, "dagprio")->Apply(ladder_rungs);
+BENCHMARK_CAPTURE(BM_ListPolicy, etf, "etf")->Apply(ladder_rungs);
+
+/// The HEFT offline plan alone on a ladder rung; tasks placed per second.
+void BM_HeftPlan(benchmark::State& state) {
+  const TaskGraph& graph = ladder_graph(static_cast<int>(state.range(0)));
+  const Topology topology = topo::hypercube(3);
+  const CommModel comm = CommModel::paper_default();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sched::heft_schedule(graph, topology, comm).makespan);
+  }
+  state.SetItemsProcessed(state.iterations() * graph.num_tasks());
+}
+BENCHMARK(BM_HeftPlan)->Apply(ladder_rungs);
 
 }  // namespace

@@ -1,8 +1,5 @@
 #include "sched/dagprio.hpp"
 
-#include <algorithm>
-#include <vector>
-
 #include "sim/arrivals.hpp"
 
 namespace dagsched::sched {
@@ -15,11 +12,10 @@ void DagPrioScheduler::on_epoch(sim::EpochContext& ctx) {
   const std::vector<Time>& levels = ctx.levels();
   const Time now = ctx.now();
 
-  std::vector<TaskId> order(ctx.ready_tasks().begin(),
-                            ctx.ready_tasks().end());
-  std::vector<double> score(order.size(), 0.0);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const TaskId task = order[i];
+  const std::span<const TaskId> ready = ctx.ready_tasks();
+  score_.assign(ready.size(), 0.0);
+  for (std::size_t i = 0; i < ready.size(); ++i) {
+    const TaskId task = ready[i];
     const Time level = levels[static_cast<std::size_t>(task)];
     double s = w_cp_ * to_us(level);
     if (plan != nullptr) {
@@ -31,31 +27,31 @@ void DagPrioScheduler::on_epoch(sim::EpochContext& ctx) {
         s -= w_slack_ * to_us(deadline - now - level);
       }
     }
-    score[i] = s;
+    score_[i] = s;
   }
-  // Stable rank: score descending, task id ascending on exact ties.
-  std::vector<std::size_t> rank(order.size());
-  for (std::size_t i = 0; i < rank.size(); ++i) rank[i] = i;
-  std::sort(rank.begin(), rank.end(), [&](std::size_t a, std::size_t b) {
-    if (score[a] != score[b]) return score[a] > score[b];
-    return order[a] < order[b];
+  // Only the |idle| best-scored tasks can be assigned.  Rank: score
+  // descending, task id ascending on exact ties.
+  free_.assign(ctx.idle_procs().begin(), ctx.idle_procs().end());
+  rank_.resize(ready.size());
+  for (std::size_t i = 0; i < rank_.size(); ++i) rank_[i] = i;
+  keep_top_k(rank_, free_.size(), [&](std::size_t a, std::size_t b) {
+    if (score_[a] != score_[b]) return score_[a] > score_[b];
+    return ready[a] < ready[b];
   });
 
-  std::vector<ProcId> free(ctx.idle_procs().begin(), ctx.idle_procs().end());
-  const std::size_t count = std::min(order.size(), free.size());
-  for (std::size_t i = 0; i < count; ++i) {
-    const TaskId task = order[rank[i]];
+  for (const std::size_t i : rank_) {
+    const TaskId task = ready[i];
     std::size_t pick = 0;
-    Time best = incoming_comm_cost(ctx, task, free[0]);
-    for (std::size_t j = 1; j < free.size(); ++j) {
-      const Time cost = incoming_comm_cost(ctx, task, free[j]);
+    Time best = incoming_comm_cost(ctx, task, free_[0]);
+    for (std::size_t j = 1; j < free_.size(); ++j) {
+      const Time cost = incoming_comm_cost(ctx, task, free_[j]);
       if (cost < best) {
         best = cost;
         pick = j;
       }
     }
-    ctx.assign(task, free[pick]);
-    free.erase(free.begin() + static_cast<std::ptrdiff_t>(pick));
+    ctx.assign(task, free_[pick]);
+    free_.erase(free_.begin() + static_cast<std::ptrdiff_t>(pick));
   }
 }
 

@@ -18,6 +18,8 @@
 // offline run (no arrival plan) age and slack are constant/absent, so the
 // policy degenerates to HLF-mincomm ordering — deterministic either way.
 
+#include <vector>
+
 #include "sched/policy.hpp"
 
 namespace dagsched::sched {
@@ -34,6 +36,9 @@ class DagPrioScheduler : public sim::SchedulingPolicy {
   double w_cp_;
   double w_slack_;
   double w_age_;
+  std::vector<double> score_;      ///< per-epoch scratch, by ready index
+  std::vector<std::size_t> rank_;  ///< per-epoch scratch, ready indices
+  std::vector<ProcId> free_;       ///< per-epoch scratch
 };
 
 }  // namespace dagsched::sched

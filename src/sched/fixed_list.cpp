@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "graph/analysis.hpp"
+#include "sched/policy.hpp"
 #include "util/require.hpp"
 
 namespace dagsched::sched {
@@ -13,12 +14,7 @@ std::vector<TaskId> hlf_priority_list(const TaskGraph& graph) {
   for (std::size_t t = 0; t < list.size(); ++t) {
     list[t] = static_cast<TaskId>(t);
   }
-  std::stable_sort(list.begin(), list.end(), [&](TaskId a, TaskId b) {
-    const Time la = levels[static_cast<std::size_t>(a)];
-    const Time lb = levels[static_cast<std::size_t>(b)];
-    if (la != lb) return la > lb;
-    return a < b;
-  });
+  std::sort(list.begin(), list.end(), HigherLevelFirst{levels});
   return list;
 }
 
@@ -40,15 +36,16 @@ void FixedListScheduler::on_run_start(const TaskGraph& graph, const Topology&,
 }
 
 void FixedListScheduler::on_epoch(sim::EpochContext& ctx) {
-  std::vector<TaskId> order(ctx.ready_tasks().begin(),
-                            ctx.ready_tasks().end());
-  std::sort(order.begin(), order.end(), [this](TaskId a, TaskId b) {
+  // Only the |idle| first-listed ready tasks can be assigned.
+  const std::span<const ProcId> idle = ctx.idle_procs();
+  order_.assign(ctx.ready_tasks().begin(), ctx.ready_tasks().end());
+  keep_top_k(order_, idle.size(), [this](TaskId a, TaskId b) {
     return rank_[static_cast<std::size_t>(a)] <
            rank_[static_cast<std::size_t>(b)];
   });
-  const std::span<const ProcId> idle = ctx.idle_procs();
-  const std::size_t count = std::min(order.size(), idle.size());
-  for (std::size_t i = 0; i < count; ++i) ctx.assign(order[i], idle[i]);
+  for (std::size_t i = 0; i < order_.size(); ++i) {
+    ctx.assign(order_[i], idle[i]);
+  }
 }
 
 }  // namespace dagsched::sched

@@ -34,6 +34,7 @@ class FixedListScheduler : public sim::SchedulingPolicy {
  private:
   std::vector<TaskId> list_;
   std::vector<int> rank_;  ///< rank_[task] = position in the list
+  std::vector<TaskId> order_;  ///< per-epoch scratch
 
   void on_run_start(const TaskGraph& graph, const Topology&,
                     const CommModel&) override;

@@ -195,26 +195,27 @@ ListSchedule heft_schedule(const TaskGraph& graph, const Topology& topology,
   // exactly the descending-rank_u order; going through a ready pool
   // additionally guarantees predecessors are placed first even when equal
   // ranks (zero durations, zero comm) would make a plain sort ambiguous.
+  // The pool is a max-heap: `placed_after(a, b)` is true when b goes first.
+  const std::vector<double>& rank = schedule.rank;
+  const auto placed_after = [&rank](TaskId a, TaskId b) {
+    const double ra = rank[static_cast<std::size_t>(a)];
+    const double rb = rank[static_cast<std::size_t>(b)];
+    return ra != rb ? ra < rb : a > b;
+  };
   std::vector<int> remaining_preds(static_cast<std::size_t>(num_tasks), 0);
-  std::vector<char> ready(static_cast<std::size_t>(num_tasks), 0);
+  std::vector<TaskId> ready;
   for (TaskId t = 0; t < num_tasks; ++t) {
     remaining_preds[static_cast<std::size_t>(t)] = graph.in_degree(t);
-    if (graph.in_degree(t) == 0) ready[static_cast<std::size_t>(t)] = 1;
+    if (graph.in_degree(t) == 0) ready.push_back(t);
   }
+  std::make_heap(ready.begin(), ready.end(), placed_after);
 
   std::vector<ProcTimeline> timelines(static_cast<std::size_t>(num_procs));
   for (int placed_count = 0; placed_count < num_tasks; ++placed_count) {
-    TaskId task = kInvalidTask;
-    for (TaskId t = 0; t < num_tasks; ++t) {
-      if (!ready[static_cast<std::size_t>(t)]) continue;
-      if (task == kInvalidTask ||
-          schedule.rank[static_cast<std::size_t>(t)] >
-              schedule.rank[static_cast<std::size_t>(task)]) {
-        task = t;
-      }
-    }
-    require(task != kInvalidTask, "heft_schedule: no ready task (cycle?)");
-    ready[static_cast<std::size_t>(task)] = 0;
+    require(!ready.empty(), "heft_schedule: no ready task (cycle?)");
+    std::pop_heap(ready.begin(), ready.end(), placed_after);
+    const TaskId task = ready.back();
+    ready.pop_back();
 
     ProcId best_proc = kInvalidProc;
     Time best_start = 0;
@@ -260,7 +261,8 @@ ListSchedule heft_schedule(const TaskGraph& graph, const Topology& topology,
 
     for (const EdgeRef& succ : graph.successors(task)) {
       if (--remaining_preds[static_cast<std::size_t>(succ.task)] == 0) {
-        ready[static_cast<std::size_t>(succ.task)] = 1;
+        ready.push_back(succ.task);
+        std::push_heap(ready.begin(), ready.end(), placed_after);
       }
     }
   }
@@ -273,9 +275,11 @@ HeftScheduler::HeftScheduler(HeftVariant variant, FaultResponse on_fault)
 void HeftScheduler::rebuild_plan(const std::vector<char>* excluded) {
   plan_ = heft_schedule(*graph_, *topology_, *comm_, variant_, excluded);
   priority_pos_.assign(static_cast<std::size_t>(graph_->num_tasks()), 0);
+  plan_proc_.resize(priority_pos_.size());
   for (std::size_t pos = 0; pos < plan_.priority.size(); ++pos) {
-    priority_pos_[static_cast<std::size_t>(plan_.priority[pos])] =
-        static_cast<int>(pos);
+    const auto task = static_cast<std::size_t>(plan_.priority[pos]);
+    priority_pos_[task] = static_cast<int>(pos);
+    plan_proc_[task] = plan_.tasks[task].proc;
   }
 }
 
@@ -287,10 +291,8 @@ void HeftScheduler::on_run_start(const TaskGraph& graph,
   comm_ = &comm;
   rebuild_plan(nullptr);
   initial_plan_makespan_ = plan_.makespan;
-  proc_used_.assign(static_cast<std::size_t>(topology.num_procs()), 0);
-  proc_idle_.assign(proc_used_.size(), 0);
-  proc_down_.assign(proc_used_.size(), 0);
-  last_down_.assign(proc_used_.size(), 0);
+  proc_down_.assign(static_cast<std::size_t>(topology.num_procs()), 0);
+  last_down_.assign(proc_down_.size(), 0);
 }
 
 void HeftScheduler::on_epoch(sim::EpochContext& ctx) {
@@ -308,34 +310,10 @@ void HeftScheduler::on_epoch(sim::EpochContext& ctx) {
     last_down_ = proc_down_;
     rebuild_plan(ctx.down_procs().empty() ? nullptr : &proc_down_);
   }
-  order_.assign(ctx.ready_tasks().begin(), ctx.ready_tasks().end());
-  std::sort(order_.begin(), order_.end(), [this](TaskId a, TaskId b) {
-    return priority_pos_[static_cast<std::size_t>(a)] <
-           priority_pos_[static_cast<std::size_t>(b)];
-  });
-  std::fill(proc_used_.begin(), proc_used_.end(), 0);
-  std::fill(proc_idle_.begin(), proc_idle_.end(), 0);
-  for (ProcId p : ctx.idle_procs()) {
-    proc_idle_[static_cast<std::size_t>(p)] = 1;
-  }
-  for (TaskId task : order_) {
-    const ProcId proc = plan_.tasks[static_cast<std::size_t>(task)].proc;
-    const auto slot = static_cast<std::size_t>(proc);
-    if (proc_idle_[slot] && !proc_used_[slot]) {
-      ctx.assign(task, proc);
-      proc_used_[slot] = 1;
-    } else if (on_fault_ == FaultResponse::Repin && proc_down_[slot]) {
-      // Re-pin a survivor: its planned machine crashed, so take the first
-      // still-free idle processor instead of waiting out the repair.
-      for (std::size_t q = 0; q < proc_idle_.size(); ++q) {
-        if (proc_idle_[q] && !proc_used_[q]) {
-          ctx.assign(task, static_cast<ProcId>(q));
-          proc_used_[q] = 1;
-          break;
-        }
-      }
-    }
-  }
+  // Under Repin, a task whose planned machine crashed takes the first
+  // still-free idle processor instead of waiting out the repair.
+  dispatch_.dispatch(ctx, priority_pos_, plan_proc_,
+                     on_fault_ == FaultResponse::Repin);
 }
 
 std::string HeftScheduler::name() const {

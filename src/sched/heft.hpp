@@ -28,6 +28,7 @@
 
 #include <vector>
 
+#include "sched/pinned.hpp"
 #include "sched/policy.hpp"
 
 namespace dagsched::sched {
@@ -126,9 +127,8 @@ class HeftScheduler : public sim::SchedulingPolicy {
   ListSchedule plan_;
   Time initial_plan_makespan_ = 0;
   std::vector<int> priority_pos_;  ///< task -> position in plan_.priority
-  std::vector<TaskId> order_;      ///< per-epoch scratch
-  std::vector<char> proc_used_;    ///< per-epoch scratch
-  std::vector<char> proc_idle_;    ///< per-epoch scratch
+  std::vector<ProcId> plan_proc_;  ///< task -> planned processor
+  PinnedDispatch dispatch_;
   std::vector<char> proc_down_;    ///< per-epoch scratch
   std::vector<char> last_down_;    ///< Replan: down set the plan excludes
   /// Replan needs the instance to recompute the plan mid-run; set in

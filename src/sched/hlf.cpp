@@ -1,7 +1,5 @@
 #include "sched/hlf.hpp"
 
-#include <algorithm>
-
 #include "util/rng.hpp"
 
 namespace dagsched::sched {
@@ -15,26 +13,24 @@ void HlfScheduler::on_run_start(const TaskGraph&, const Topology&,
 }
 
 void HlfScheduler::on_epoch(sim::EpochContext& ctx) {
-  const std::vector<TaskId> order = ready_by_level(ctx);
-  std::vector<ProcId> free(ctx.idle_procs().begin(), ctx.idle_procs().end());
+  free_.assign(ctx.idle_procs().begin(), ctx.idle_procs().end());
+  ready_by_level(ctx, free_.size(), order_);
   // LINT-ALLOW(rng-stream): per-epoch reseed from draw_state_ is the policy's pinned bit-compat stream
   Rng rng(draw_state_);
 
-  const std::size_t count = std::min(order.size(), free.size());
-  for (std::size_t i = 0; i < count; ++i) {
-    const TaskId task = order[i];
+  for (const TaskId task : order_) {
     std::size_t pick = 0;
     switch (placement_) {
       case HlfPlacement::FirstIdle:
         pick = 0;
         break;
       case HlfPlacement::Random:
-        pick = rng.uniform_index(free.size());
+        pick = rng.uniform_index(free_.size());
         break;
       case HlfPlacement::MinComm: {
-        Time best = incoming_comm_cost(ctx, task, free[0]);
-        for (std::size_t j = 1; j < free.size(); ++j) {
-          const Time cost = incoming_comm_cost(ctx, task, free[j]);
+        Time best = incoming_comm_cost(ctx, task, free_[0]);
+        for (std::size_t j = 1; j < free_.size(); ++j) {
+          const Time cost = incoming_comm_cost(ctx, task, free_[j]);
           if (cost < best) {
             best = cost;
             pick = j;
@@ -43,8 +39,8 @@ void HlfScheduler::on_epoch(sim::EpochContext& ctx) {
         break;
       }
     }
-    ctx.assign(task, free[pick]);
-    free.erase(free.begin() + static_cast<std::ptrdiff_t>(pick));
+    ctx.assign(task, free_[pick]);
+    free_.erase(free_.begin() + static_cast<std::ptrdiff_t>(pick));
   }
   draw_state_ = rng.next_u64();  // advance the stream across epochs
 }

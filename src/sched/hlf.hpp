@@ -16,6 +16,7 @@
 //               ablation; not part of the paper's baseline).
 
 #include <cstdint>
+#include <vector>
 
 #include "sched/policy.hpp"
 
@@ -35,6 +36,8 @@ class HlfScheduler : public sim::SchedulingPolicy {
   HlfPlacement placement_;
   std::uint64_t seed_;
   std::uint64_t draw_state_;
+  std::vector<TaskId> order_;  ///< per-epoch scratch
+  std::vector<ProcId> free_;   ///< per-epoch scratch
 
   void on_run_start(const TaskGraph&, const Topology&,
                     const CommModel&) override;

@@ -2,9 +2,104 @@
 
 #include <algorithm>
 
+#include "sched/policy.hpp"
 #include "util/require.hpp"
 
 namespace dagsched::sched {
+
+const std::vector<int>& PinnedDispatch::level_ranks(
+    const std::vector<Time>& levels) {
+  if (ranks_checked_) return rank_;
+  ranks_checked_ = true;
+  if (levels == ranked_levels_) {
+    return rank_;  // same graph as the previous run: ranks hold
+  }
+  std::vector<TaskId> order(levels.size());
+  for (std::size_t t = 0; t < order.size(); ++t) {
+    order[t] = static_cast<TaskId>(t);
+  }
+  std::sort(order.begin(), order.end(), HigherLevelFirst{levels});
+  rank_.resize(levels.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    rank_[static_cast<std::size_t>(order[i])] = static_cast<int>(i);
+  }
+  ranked_levels_ = levels;
+  return rank_;
+}
+
+void PinnedDispatch::dispatch(sim::EpochContext& ctx,
+                              const std::vector<int>& rank,
+                              const std::vector<ProcId>& target, bool repin) {
+  const auto procs = static_cast<std::size_t>(ctx.topology().num_procs());
+  if (idle_stamp_.size() != procs) {
+    idle_stamp_.assign(procs, 0);
+    down_stamp_.assign(procs, 0);
+    used_stamp_.assign(procs, 0);
+    best_stamp_.assign(procs, 0);
+    best_task_.resize(procs);
+  }
+  const std::uint64_t stamp = ++stamp_;
+  const std::span<const ProcId> idle = ctx.idle_procs();
+  for (const ProcId p : idle) idle_stamp_[static_cast<std::size_t>(p)] = stamp;
+  const bool repair = repin && !ctx.down_procs().empty();
+  if (repair) {
+    for (const ProcId p : ctx.down_procs()) {
+      down_stamp_[static_cast<std::size_t>(p)] = stamp;
+    }
+  }
+  const auto rank_of = [&rank](TaskId t) {
+    return rank[static_cast<std::size_t>(t)];
+  };
+
+  // One linear pass: each idle processor's best-ranked ready task, and
+  // every ready task stranded on a down processor.
+  stranded_.clear();
+  for (const TaskId task : ctx.ready_tasks()) {
+    const auto slot =
+        static_cast<std::size_t>(target[static_cast<std::size_t>(task)]);
+    if (idle_stamp_[slot] == stamp) {
+      if (best_stamp_[slot] != stamp ||
+          rank_of(task) < rank_of(best_task_[slot])) {
+        best_stamp_[slot] = stamp;
+        best_task_[slot] = task;
+      }
+    } else if (repair && down_stamp_[slot] == stamp) {
+      stranded_.push_back(task);
+    }
+  }
+  candidates_.clear();
+  for (const ProcId p : idle) {
+    if (best_stamp_[static_cast<std::size_t>(p)] == stamp) {
+      candidates_.push_back(best_task_[static_cast<std::size_t>(p)]);
+    }
+  }
+  const auto by_rank = [&rank_of](TaskId a, TaskId b) {
+    return rank_of(a) < rank_of(b);
+  };
+  keep_top_k(stranded_, idle.size(), by_rank);
+  candidates_.insert(candidates_.end(), stranded_.begin(), stranded_.end());
+  std::sort(candidates_.begin(), candidates_.end(), by_rank);
+
+  // The reference walk over the candidates.  A processor before
+  // `next_free` is always taken, so the repin scan never restarts.
+  std::size_t next_free = 0;
+  for (const TaskId task : candidates_) {
+    const ProcId proc = target[static_cast<std::size_t>(task)];
+    const auto slot = static_cast<std::size_t>(proc);
+    if (idle_stamp_[slot] == stamp && used_stamp_[slot] != stamp) {
+      ctx.assign(task, proc);
+      used_stamp_[slot] = stamp;
+    } else if (repair && down_stamp_[slot] == stamp) {
+      while (next_free < idle.size() &&
+             used_stamp_[static_cast<std::size_t>(idle[next_free])] == stamp) {
+        ++next_free;
+      }
+      if (next_free == idle.size()) continue;
+      ctx.assign(task, idle[next_free]);
+      used_stamp_[static_cast<std::size_t>(idle[next_free])] = stamp;
+    }
+  }
+}
 
 PinnedScheduler::PinnedScheduler(std::vector<ProcId> mapping)
     : mapping_(std::move(mapping)) {}
@@ -18,8 +113,7 @@ void PinnedScheduler::on_run_start(const TaskGraph& graph,
     require(topology.is_valid_proc(p),
             "PinnedScheduler: mapping names a missing processor");
   }
-  ranks_stale_ = true;  // levels arrive with the first epoch
-  num_procs_ = topology.num_procs();
+  dispatch_.begin_run();  // levels arrive with the first epoch
 }
 
 void PinnedScheduler::on_epoch(sim::EpochContext& ctx) {
@@ -27,83 +121,8 @@ void PinnedScheduler::on_epoch(sim::EpochContext& ctx) {
   // the highest-level one first (ties: lowest id) — the same priority the
   // list schedulers use, so replaying a placement does not lose schedule
   // quality to arbitrary intra-processor ordering.
-  const std::vector<Time>& levels = ctx.levels();
-  if (ranks_stale_ && levels == ranked_levels_) {
-    ranks_stale_ = false;  // same graph as the previous run: ranks hold
-  }
-  if (ranks_stale_) {
-    // At most one argsort per graph; the per-epoch sorts below then
-    // compare single integer ranks.  Ranks are unique, so sorting by
-    // them reproduces the (level desc, id asc) order exactly.
-    rank_scratch_.resize(levels.size());
-    for (std::size_t t = 0; t < levels.size(); ++t) {
-      rank_scratch_[t] = static_cast<TaskId>(t);
-    }
-    std::sort(rank_scratch_.begin(), rank_scratch_.end(),
-              [&levels](TaskId a, TaskId b) {
-                const Time la = levels[static_cast<std::size_t>(a)];
-                const Time lb = levels[static_cast<std::size_t>(b)];
-                if (la != lb) return la > lb;
-                return a < b;
-              });
-    rank_.resize(levels.size());
-    for (std::size_t i = 0; i < rank_scratch_.size(); ++i) {
-      rank_[static_cast<std::size_t>(rank_scratch_[i])] =
-          static_cast<int>(i);
-    }
-    ranked_levels_ = levels;
-    ranks_stale_ = false;
-  }
-  // Per-idle-processor argbest scan.  The sorted greedy loop this replaces
-  // (sort ready by rank, assign each task to its pinned target unless the
-  // target was already taken) gives every idle processor to the
-  // lowest-rank ready task pinned to it, emitting winners in rank order —
-  // so computing exactly those winners with one linear pass over the ready
-  // set and sorting only the (at most one per idle processor) winners
-  // reproduces the assignment sequence bit for bit while dropping the
-  // O(r log r) per-epoch sort and the binary searches.
-  const auto procs = static_cast<std::size_t>(num_procs_);
-  if (idle_stamp_.size() != procs) {
-    idle_stamp_.assign(procs, 0);
-    best_stamp_.assign(procs, 0);
-    best_task_.resize(procs);
-    best_rank_.resize(procs);
-  }
-  const std::uint64_t stamp = ++epoch_stamp_;
-  for (const ProcId p : ctx.idle_procs()) {
-    idle_stamp_[static_cast<std::size_t>(p)] = stamp;
-  }
-  for (const TaskId task : ctx.ready_tasks()) {
-    const auto target =
-        static_cast<std::size_t>(mapping_[static_cast<std::size_t>(task)]);
-    if (idle_stamp_[target] != stamp) continue;
-    const int r = rank_[static_cast<std::size_t>(task)];
-    if (best_stamp_[target] != stamp || r < best_rank_[target]) {
-      best_stamp_[target] = stamp;
-      best_task_[target] = task;
-      best_rank_[target] = r;
-    }
-  }
-  // Winners are at most one per idle processor — insertion sort beats
-  // std::sort at these sizes.
-  winners_.clear();
-  for (const ProcId p : ctx.idle_procs()) {
-    if (best_stamp_[static_cast<std::size_t>(p)] == stamp) {
-      const TaskId task = best_task_[static_cast<std::size_t>(p)];
-      const int r = rank_[static_cast<std::size_t>(task)];
-      std::size_t at = winners_.size();
-      winners_.push_back(task);
-      while (at > 0 &&
-             rank_[static_cast<std::size_t>(winners_[at - 1])] > r) {
-        winners_[at] = winners_[at - 1];
-        --at;
-      }
-      winners_[at] = task;
-    }
-  }
-  for (const TaskId task : winners_) {
-    ctx.assign(task, mapping_[static_cast<std::size_t>(task)]);
-  }
+  dispatch_.dispatch(ctx, dispatch_.level_ranks(ctx.levels()), mapping_,
+                     /*repin=*/false);
 }
 
 }  // namespace dagsched::sched

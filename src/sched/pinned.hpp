@@ -20,6 +20,51 @@
 
 namespace dagsched::sched {
 
+/// The dispatch step shared by the mapping-replay policies
+/// (PinnedScheduler, RepinScheduler, HeftScheduler).  Every task has a
+/// target processor and a unique rank (lower dispatches first).  The
+/// reference rule walks the whole ready set in rank order and gives each
+/// task its target when that processor is idle and still free; with
+/// `repin`, a task whose target is down instead takes the lowest-numbered
+/// idle processor still free.
+///
+/// dispatch() reproduces that assignment sequence without sorting the
+/// ready set.  Only the best-ranked ready task pinned to an idle processor
+/// can win it (any later one finds it taken), and at most |idle| tasks
+/// with a down target can take a free processor.  So one linear scan
+/// collects those candidates, and the walk runs over just them.
+class PinnedDispatch {
+ public:
+  /// Call from on_run_start: the next level_ranks() call re-checks the
+  /// levels it was built from.
+  void begin_run() { ranks_checked_ = false; }
+
+  /// rank[t] = position of task t in the HLF order (level descending, ties
+  /// toward the lower id).  Replay loops re-run one policy against one
+  /// graph thousands of times, so the argsort is skipped while the levels
+  /// match the cached copy (an O(n) equality check per run).
+  const std::vector<int>& level_ranks(const std::vector<Time>& levels);
+
+  /// Declares the epoch's assignments (see the class comment).  `rank` and
+  /// `target` are indexed by TaskId.
+  void dispatch(sim::EpochContext& ctx, const std::vector<int>& rank,
+                const std::vector<ProcId>& target, bool repin);
+
+ private:
+  // Stamp arrays avoid an O(procs) clear per epoch.
+  std::uint64_t stamp_ = 0;
+  std::vector<std::uint64_t> idle_stamp_;
+  std::vector<std::uint64_t> down_stamp_;
+  std::vector<std::uint64_t> used_stamp_;
+  std::vector<std::uint64_t> best_stamp_;
+  std::vector<TaskId> best_task_;  ///< per idle processor, its winner
+  std::vector<TaskId> stranded_;   ///< ready tasks with a down target
+  std::vector<TaskId> candidates_;
+  std::vector<int> rank_;
+  std::vector<Time> ranked_levels_;  ///< levels rank_ was built from
+  bool ranks_checked_ = false;
+};
+
 class PinnedScheduler : public sim::SchedulingPolicy {
  public:
   /// `mapping[t]` is the processor task t must run on; must cover every
@@ -41,27 +86,7 @@ class PinnedScheduler : public sim::SchedulingPolicy {
 
  private:
   std::vector<ProcId> mapping_;
-  /// Per-epoch winner scan scratch (see on_epoch): stamp arrays avoid an
-  /// O(procs) clear per epoch, winners_ holds the per-processor argbest
-  /// tasks before they are emitted in rank order.
-  std::uint64_t epoch_stamp_ = 0;
-  std::vector<std::uint64_t> idle_stamp_;
-  std::vector<std::uint64_t> best_stamp_;
-  std::vector<TaskId> best_task_;
-  std::vector<int> best_rank_;
-  std::vector<TaskId> winners_;
-  int num_procs_ = 0;
-  /// rank_[t] is task t's position in the global dispatch order (level
-  /// descending, ties toward the lower id), derived from the first
-  /// epoch's levels.  Sorting the ready set by this single integer key
-  /// replaces the two-key comparator sort the replay loops hammered.
-  /// Replay loops re-run one policy against one graph thousands of
-  /// times, so the argsort is skipped entirely while the levels match
-  /// the cached copy (an O(n) equality check per run).
-  std::vector<int> rank_;
-  std::vector<TaskId> rank_scratch_;
-  std::vector<Time> ranked_levels_;  ///< levels rank_ was built from
-  bool ranks_stale_ = true;
+  PinnedDispatch dispatch_;
 
   void on_run_start(const TaskGraph& graph, const Topology& topology,
                     const CommModel&) override;

@@ -1,7 +1,5 @@
 #include "sched/policy.hpp"
 
-#include <algorithm>
-
 namespace dagsched::sched {
 
 Time incoming_comm_cost(const sim::EpochContext& ctx, TaskId task,
@@ -17,18 +15,10 @@ Time incoming_comm_cost(const sim::EpochContext& ctx, TaskId task,
   return cost;
 }
 
-std::vector<TaskId> ready_by_level(const sim::EpochContext& ctx) {
-  std::vector<TaskId> order(ctx.ready_tasks().begin(),
-                            ctx.ready_tasks().end());
-  const std::vector<Time>& levels = ctx.levels();
-  std::stable_sort(order.begin(), order.end(),
-                   [&levels](TaskId a, TaskId b) {
-                     const Time la = levels[static_cast<std::size_t>(a)];
-                     const Time lb = levels[static_cast<std::size_t>(b)];
-                     if (la != lb) return la > lb;
-                     return a < b;
-                   });
-  return order;
+void ready_by_level(const sim::EpochContext& ctx, std::size_t k,
+                    std::vector<TaskId>& out) {
+  out.assign(ctx.ready_tasks().begin(), ctx.ready_tasks().end());
+  keep_top_k(out, k, HigherLevelFirst{ctx.levels()});
 }
 
 }  // namespace dagsched::sched

@@ -15,6 +15,9 @@
 //    unassigned are offered again at the next epoch.  A policy that can
 //    stall forever (assigning nothing while tasks remain) makes the
 //    engine raise SimulationError.
+//  * on_epoch costs O(|ready| + k log k) for the k = min(|ready|, |idle|)
+//    tasks it can assign, never a sort of the whole ready set: at workflow
+//    scale thousands of tasks are ready while about one is assigned.
 //  * Policies must be deterministic functions of (graph, topology, comm,
 //    epoch contexts, their own seed): all randomness must come from an
 //    explicitly seeded dagsched::Rng (or a derived stream), never from
@@ -24,6 +27,7 @@
 //    reset it) but is never shared between concurrently running engines;
 //    batch drivers construct one policy per concurrent simulation.
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/scheduler_api.hpp"
@@ -44,11 +48,36 @@ namespace dagsched::sched {
 Time incoming_comm_cost(const sim::EpochContext& ctx, TaskId task,
                         ProcId proc);
 
-/// Ready tasks sorted by decreasing level n_i (ties: ascending id) — the
-/// Highest-Level-First candidate order.
+/// The HLF priority: level n_i descending, ties toward the lower id.  A
+/// strict total order, so any selection under it is unique.
+struct HigherLevelFirst {
+  const std::vector<Time>& levels;
+  bool operator()(TaskId a, TaskId b) const {
+    const Time la = levels[static_cast<std::size_t>(a)];
+    const Time lb = levels[static_cast<std::size_t>(b)];
+    return la != lb ? la > lb : a < b;
+  }
+};
+
+/// Shrinks `items` to its `k` first elements under the strict total order
+/// `before`, in that order — the same prefix a full sort would give, at
+/// O(|items| log k) instead of O(|items| log |items|).
+template <class T, class Before>
+void keep_top_k(std::vector<T>& items, std::size_t k, Before before) {
+  k = std::min(k, items.size());
+  const auto end = items.begin() + static_cast<std::ptrdiff_t>(k);
+  std::partial_sort(items.begin(), end, items.end(), before);
+  items.resize(k);
+}
+
+/// The `k` highest-level ready tasks, highest first (ties: ascending id) —
+/// the Highest-Level-First candidates.  HLF passes k = |idle|, the most it
+/// can assign; the rest of the ready set is never sorted.
 ///
 /// @param ctx  the current epoch; levels come from ctx.levels().
-/// @return the epoch's ready tasks, highest level first.
-std::vector<TaskId> ready_by_level(const sim::EpochContext& ctx);
+/// @param k    how many tasks to select (at most |ready| are returned).
+/// @param out  receives the selection; reused scratch, overwritten.
+void ready_by_level(const sim::EpochContext& ctx, std::size_t k,
+                    std::vector<TaskId>& out);
 
 }  // namespace dagsched::sched

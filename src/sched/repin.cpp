@@ -1,7 +1,5 @@
 #include "sched/repin.hpp"
 
-#include <algorithm>
-
 #include "util/require.hpp"
 
 namespace dagsched::sched {
@@ -18,49 +16,14 @@ void RepinScheduler::on_run_start(const TaskGraph& graph,
     require(topology.is_valid_proc(p),
             "RepinScheduler: mapping names a missing processor");
   }
-  proc_used_.assign(static_cast<std::size_t>(topology.num_procs()), 0);
-  proc_idle_.assign(proc_used_.size(), 0);
-  proc_down_.assign(proc_used_.size(), 0);
+  dispatch_.begin_run();
 }
 
 void RepinScheduler::on_epoch(sim::EpochContext& ctx) {
   // Same dispatch priority as PinnedScheduler: level descending, ties
   // toward the lower task id — so the zero-fault replay is bit-identical.
-  const std::vector<Time>& levels = ctx.levels();
-  order_.assign(ctx.ready_tasks().begin(), ctx.ready_tasks().end());
-  std::sort(order_.begin(), order_.end(), [&levels](TaskId a, TaskId b) {
-    const Time la = levels[static_cast<std::size_t>(a)];
-    const Time lb = levels[static_cast<std::size_t>(b)];
-    if (la != lb) return la > lb;
-    return a < b;
-  });
-  std::fill(proc_used_.begin(), proc_used_.end(), 0);
-  std::fill(proc_idle_.begin(), proc_idle_.end(), 0);
-  std::fill(proc_down_.begin(), proc_down_.end(), 0);
-  for (ProcId p : ctx.idle_procs()) {
-    proc_idle_[static_cast<std::size_t>(p)] = 1;
-  }
-  for (ProcId p : ctx.down_procs()) {
-    proc_down_[static_cast<std::size_t>(p)] = 1;
-  }
-  for (const TaskId task : order_) {
-    const auto slot =
-        static_cast<std::size_t>(mapping_[static_cast<std::size_t>(task)]);
-    if (proc_idle_[slot] && !proc_used_[slot]) {
-      ctx.assign(task, static_cast<ProcId>(slot));
-      proc_used_[slot] = 1;
-    } else if (proc_down_[slot]) {
-      // The pinned machine crashed: take the first still-free idle
-      // processor instead of waiting for the repair.
-      for (std::size_t q = 0; q < proc_idle_.size(); ++q) {
-        if (proc_idle_[q] && !proc_used_[q]) {
-          ctx.assign(task, static_cast<ProcId>(q));
-          proc_used_[q] = 1;
-          break;
-        }
-      }
-    }
-  }
+  dispatch_.dispatch(ctx, dispatch_.level_ranks(ctx.levels()), mapping_,
+                     /*repin=*/true);
 }
 
 }  // namespace dagsched::sched

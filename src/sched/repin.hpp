@@ -13,7 +13,7 @@
 
 #include <vector>
 
-#include "sim/scheduler_api.hpp"
+#include "sched/pinned.hpp"
 
 namespace dagsched::sched {
 
@@ -30,10 +30,7 @@ class RepinScheduler : public sim::SchedulingPolicy {
 
  private:
   std::vector<ProcId> mapping_;
-  std::vector<TaskId> order_;     ///< per-epoch scratch
-  std::vector<char> proc_used_;   ///< per-epoch scratch
-  std::vector<char> proc_idle_;   ///< per-epoch scratch
-  std::vector<char> proc_down_;   ///< per-epoch scratch
+  PinnedDispatch dispatch_;
 };
 
 }  // namespace dagsched::sched

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/analysis.hpp"
@@ -249,6 +252,178 @@ TEST(HeftSchedule, PlanConsistencyProperty) {
       const sched::ListSchedule plan =
           sched::heft_schedule(g, machine, comm, variant);
       expect_plan_consistent(g, machine, comm, plan);
+    }
+  }
+}
+
+/// The linear-scan planner heft_schedule replaced with a ready heap: the
+/// same ranks, insertion slots and placement keys, but the next task is
+/// the first highest-rank ready task of an O(n) scan over all task ids.
+sched::ListSchedule linear_scan_schedule(const TaskGraph& g,
+                                         const Topology& machine,
+                                         const CommModel& comm,
+                                         sched::HeftVariant variant,
+                                         const std::vector<char>* excluded) {
+  const auto is_excluded = [&excluded](ProcId p) {
+    return excluded != nullptr &&
+           static_cast<std::size_t>(p) < excluded->size() &&
+           (*excluded)[static_cast<std::size_t>(p)];
+  };
+  bool any_allowed = false;
+  for (ProcId p = 0; p < machine.num_procs(); ++p) {
+    any_allowed = any_allowed || !is_excluded(p);
+  }
+  if (!any_allowed) excluded = nullptr;
+
+  const int n = g.num_tasks();
+  const int procs = machine.num_procs();
+  sched::ListSchedule plan;
+  plan.tasks.assign(static_cast<std::size_t>(n), {});
+  std::vector<std::vector<Time>> oct;
+  if (variant == sched::HeftVariant::Peft) {
+    oct = sched::optimistic_cost_table(g, machine, comm);
+    for (const std::vector<Time>& row : oct) {
+      double sum = 0.0;
+      for (const Time value : row) sum += static_cast<double>(value);
+      plan.rank.push_back(sum / static_cast<double>(procs));
+    }
+  } else {
+    plan.rank = sched::upward_ranks(g, machine, comm);
+  }
+
+  std::vector<int> remaining(static_cast<std::size_t>(n));
+  std::vector<char> ready(static_cast<std::size_t>(n), 0);
+  for (TaskId t = 0; t < n; ++t) {
+    remaining[static_cast<std::size_t>(t)] = g.in_degree(t);
+    ready[static_cast<std::size_t>(t)] = g.in_degree(t) == 0;
+  }
+  // Busy intervals per processor, sorted by start.
+  std::vector<std::vector<std::pair<Time, Time>>> busy(
+      static_cast<std::size_t>(procs));
+  for (int placed = 0; placed < n; ++placed) {
+    TaskId task = kInvalidTask;
+    for (TaskId t = 0; t < n; ++t) {
+      if (ready[static_cast<std::size_t>(t)] &&
+          (task == kInvalidTask || plan.rank[static_cast<std::size_t>(t)] >
+                                       plan.rank[static_cast<std::size_t>(
+                                           task)])) {
+        task = t;
+      }
+    }
+    ready[static_cast<std::size_t>(task)] = 0;
+
+    sched::ListScheduleEntry best;
+    double best_key = std::numeric_limits<double>::infinity();
+    best.finish = kTimeInfinity;
+    for (ProcId p = 0; p < procs; ++p) {
+      if (is_excluded(p)) continue;
+      Time est = 0;
+      for (const EdgeRef& pred : g.predecessors(task)) {
+        const sched::ListScheduleEntry& from =
+            plan.tasks[static_cast<std::size_t>(pred.task)];
+        est = std::max(est, from.finish + comm.analytic_cost(
+                                              pred.weight,
+                                              machine.distance(from.proc, p)));
+      }
+      Time gap_start = 0;
+      Time start = -1;
+      for (const auto& [slot_start, slot_finish] :
+           busy[static_cast<std::size_t>(p)]) {
+        const Time candidate = std::max(est, gap_start);
+        if (candidate + g.duration(task) <= slot_start) {
+          start = candidate;
+          break;
+        }
+        gap_start = std::max(gap_start, slot_finish);
+      }
+      if (start < 0) start = std::max(est, gap_start);
+      const Time finish = start + g.duration(task);
+      double key = static_cast<double>(finish);
+      if (variant == sched::HeftVariant::Peft) {
+        key += static_cast<double>(
+            oct[static_cast<std::size_t>(task)][static_cast<std::size_t>(p)]);
+      }
+      if (key < best_key || (key == best_key && finish < best.finish)) {
+        best = {p, start, finish};
+        best_key = key;
+      }
+    }
+    plan.tasks[static_cast<std::size_t>(task)] = best;
+    auto& timeline = busy[static_cast<std::size_t>(best.proc)];
+    timeline.insert(std::lower_bound(timeline.begin(), timeline.end(),
+                                     std::pair{best.start, best.finish},
+                                     [](const auto& a, const auto& b) {
+                                       return a.first < b.first;
+                                     }),
+                    {best.start, best.finish});
+    plan.priority.push_back(task);
+    plan.makespan = std::max(plan.makespan, best.finish);
+    for (const EdgeRef& succ : g.successors(task)) {
+      if (--remaining[static_cast<std::size_t>(succ.task)] == 0) {
+        ready[static_cast<std::size_t>(succ.task)] = 1;
+      }
+    }
+  }
+  return plan;
+}
+
+void expect_same_plan(const sched::ListSchedule& got,
+                      const sched::ListSchedule& want) {
+  ASSERT_EQ(got.priority, want.priority);
+  ASSERT_EQ(got.rank, want.rank);
+  ASSERT_EQ(got.tasks.size(), want.tasks.size());
+  for (std::size_t t = 0; t < want.tasks.size(); ++t) {
+    EXPECT_EQ(got.tasks[t].proc, want.tasks[t].proc) << "task " << t;
+    EXPECT_EQ(got.tasks[t].start, want.tasks[t].start) << "task " << t;
+    EXPECT_EQ(got.tasks[t].finish, want.tasks[t].finish) << "task " << t;
+  }
+  EXPECT_EQ(got.makespan, want.makespan);
+}
+
+TEST(HeftSchedule, HeapPlannerMatchesLinearScanReference) {
+  // Random graphs plus tie-heavy ones: zero durations or zero weights make
+  // many ranks equal, where only the (rank desc, id asc) tie rule decides
+  // the placement order.
+  Rng rng(20261017);
+  std::vector<TaskGraph> graphs;
+  for (int round = 0; round < 12; ++round) {
+    gen::GnpDagOptions options;
+    options.num_tasks = 20 + static_cast<int>(rng.uniform_index(200));
+    options.edge_probability = 4.0 / options.num_tasks;
+    if (round % 3 == 1) options.max_weight = 0;
+    if (round % 3 == 2) {
+      options.min_duration = 0;
+      options.max_duration = 0;
+    }
+    options.seed = rng.next_u64();
+    graphs.push_back(gen::gnp_dag(options));
+  }
+  graphs.push_back(gen::independent(40, 0));
+  graphs.push_back(gen::independent(40, us(std::int64_t{7})));
+  graphs.push_back(gen::fork_join(3, 12, us(std::int64_t{5}),
+                                  us(std::int64_t{5}), us(std::int64_t{5}),
+                                  0));
+
+  const Topology machine = topo::hypercube(3);
+  const std::vector<char> none_excluded;
+  const std::vector<char> some_excluded = {1, 0, 0, 1, 0, 1, 0, 0};
+  const std::vector<char> all_excluded(8, 1);  // ignored by the planner
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    for (const CommModel& comm :
+         {CommModel::paper_default(), CommModel::disabled()}) {
+      for (const std::vector<char>* mask :
+           {static_cast<const std::vector<char>*>(nullptr), &none_excluded,
+            &some_excluded, &all_excluded}) {
+        for (const sched::HeftVariant variant :
+             {sched::HeftVariant::Heft, sched::HeftVariant::Peft}) {
+          SCOPED_TRACE("graph " + std::to_string(i) +
+                       (comm.enabled ? " comm " : " nocomm ") +
+                       (variant == sched::HeftVariant::Peft ? "peft" : "heft"));
+          expect_same_plan(
+              sched::heft_schedule(graphs[i], machine, comm, variant, mask),
+              linear_scan_schedule(graphs[i], machine, comm, variant, mask));
+        }
+      }
     }
   }
 }

@@ -2,6 +2,8 @@
 // tests, across the full pipeline (workload -> topology -> policy ->
 // simulator -> validator -> comparison).
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "core/sa_scheduler.hpp"
@@ -18,6 +20,12 @@ struct Cell {
   const char* program;
   const char* topo_spec;
 };
+
+// Print the cell by value so the test names CTest registers do not carry
+// the (address-randomised) bytes of the string pointers.
+void PrintTo(const Cell& cell, std::ostream* os) {
+  *os << cell.program << " on " << cell.topo_spec;
+}
 
 class PaperGrid : public ::testing::TestWithParam<Cell> {};
 

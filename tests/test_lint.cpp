@@ -4,6 +4,7 @@
 // path-scoping of the default configuration.
 
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -110,6 +111,12 @@ struct FixtureCase {
   const char* name;
   bool expects_findings;
 };
+
+// Print the case by value so the test names CTest registers do not carry
+// the (address-randomised) bytes of the name pointer.
+void PrintTo(const FixtureCase& fixture, std::ostream* os) {
+  *os << fixture.name;
+}
 
 class LintFixture : public ::testing::TestWithParam<FixtureCase> {};
 
