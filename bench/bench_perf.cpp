@@ -1,7 +1,8 @@
 // Throughput microbenchmarks (google-benchmark): the hot paths of the
 // library — level computation, packet cost evaluation, annealing sweeps,
-// full simulated executions, and the list policies and HEFT planner on a
-// workflow-scale ladder (1k-16k tasks).
+// full simulated executions, and the list policies, the HEFT planner and
+// the plan cache's canonical labeling on a workflow-scale ladder (1k-16k
+// tasks).
 
 #include <benchmark/benchmark.h>
 
@@ -21,6 +22,7 @@
 #include "sched/heft.hpp"
 #include "sched/hlf.hpp"
 #include "sched/registry.hpp"
+#include "service/graph_hash.hpp"
 #include "sim/engine.hpp"
 #include "topology/builders.hpp"
 #include "workloads/registry.hpp"
@@ -323,5 +325,31 @@ void BM_HeftPlan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * graph.num_tasks());
 }
 BENCHMARK(BM_HeftPlan)->Apply(ladder_rungs);
+
+/// The plan cache's canonical labeling of one instance on hypercube:3;
+/// tasks labeled per second.  `fork_join` rows are fork_join(8, width) —
+/// symmetric stages where individualization does most of the work — and
+/// `gnp` rows are the ladder rungs.
+void BM_Canonicalize(benchmark::State& state, bool fork_join) {
+  const int arg = static_cast<int>(state.range(0));
+  const TaskGraph graph =
+      fork_join ? gen::fork_join(8, arg, us(std::int64_t{10}),
+                                 us(std::int64_t{20}), us(std::int64_t{10}),
+                                 us(std::int64_t{4}))
+                : ladder_graph(arg);
+  const Topology topology = topo::hypercube(3);
+  const CommModel comm = CommModel::paper_default();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        service::canonicalize_instance(graph, topology, comm).hash);
+  }
+  state.SetItemsProcessed(state.iterations() * graph.num_tasks());
+}
+BENCHMARK_CAPTURE(BM_Canonicalize, fork_join, true)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Canonicalize, gnp, false)->Apply(ladder_rungs);
 
 }  // namespace

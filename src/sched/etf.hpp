@@ -8,6 +8,15 @@
 // lower ids.  A classic greedy contemporary of the paper's HLF baseline,
 // provided as an additional comparison point: it shares SA's cost signal
 // but not its ability to escape greedy decisions.
+//
+// A ready task's incoming cost on each processor depends only on where
+// its finished predecessors ran, and finished outputs survive faults, so
+// the cost is fixed from the first epoch the task is ready until the end
+// of the run (a task killed by a crash re-enters the ready pool with the
+// same predecessors).  The policy fills a task's per-processor row once,
+// the first time it sees the task ready, and epochs only look rows up.
+
+#include <vector>
 
 #include "sched/policy.hpp"
 
@@ -15,8 +24,19 @@ namespace dagsched::sched {
 
 class EtfScheduler : public sim::SchedulingPolicy {
  public:
+  void on_run_start(const TaskGraph& graph, const Topology& topology,
+                    const CommModel&) override;
   void on_epoch(sim::EpochContext& ctx) override;
   std::string name() const override { return "ETF"; }
+
+ private:
+  std::size_t num_procs_ = 0;
+  /// Per-run memo: start_cost_[t * num_procs_ + p] is incoming_comm_cost
+  /// of t on p, valid once known_[t] is set.
+  std::vector<Time> start_cost_;
+  std::vector<char> known_;
+  std::vector<TaskId> tasks_;  ///< per-epoch scratch
+  std::vector<ProcId> procs_;  ///< per-epoch scratch
 };
 
 }  // namespace dagsched::sched

@@ -45,19 +45,37 @@ class MeanCommCost {
   double sigma_ = 0.0;
 };
 
-/// Busy intervals of one processor, kept sorted by start time.  Implements
-/// the insertion-based placement: a task may occupy any gap long enough to
-/// hold it, not only the time after the last scheduled task.
+/// Busy intervals of one processor, kept sorted by (start, finish).
+/// Implements the insertion-based placement: a task may occupy any gap
+/// long enough to hold it, not only the time after the last scheduled task.
+///
+/// Slots never overlap (a zero-length slot may touch a neighbour's start
+/// or finish, never its interior), so under this order the finish times
+/// are sorted too, and earliest_slot binary-searches past the prefix of
+/// slots that end at or before `est`.  Ordering equal starts by finish
+/// changes no answer of the scan: within a group of slots sharing a start,
+/// only the first can return, with a value that does not depend on which
+/// slot comes first.
 struct ProcTimeline {
-  std::vector<ListScheduleEntry> busy;  ///< proc field unused; sorted by start
+  std::vector<ListScheduleEntry> busy;  ///< proc field unused
 
   /// Earliest start >= `est` of a free interval of length `duration`.
+  ///
+  /// No skipped slot (finish <= est) can hold the task: that would need
+  /// est + duration <= start <= finish <= est, i.e. a zero-length task and
+  /// a zero-length slot at est — and then the first unskipped slot starts
+  /// at or after est, so the scan below returns the same est.  The skipped
+  /// finishes are all <= est, so the gap start they leave cannot raise a
+  /// candidate above est and the scan may start from zero.
   Time earliest_slot(Time est, Time duration) const {
+    const auto first = std::partition_point(
+        busy.begin(), busy.end(),
+        [est](const ListScheduleEntry& slot) { return slot.finish <= est; });
     Time gap_start = 0;
-    for (const ListScheduleEntry& slot : busy) {
+    for (auto slot = first; slot != busy.end(); ++slot) {
       const Time candidate = std::max(est, gap_start);
-      if (candidate + duration <= slot.start) return candidate;
-      gap_start = std::max(gap_start, slot.finish);
+      if (candidate + duration <= slot->start) return candidate;
+      gap_start = std::max(gap_start, slot->finish);
     }
     return std::max(est, gap_start);
   }
@@ -69,7 +87,7 @@ struct ProcTimeline {
     const auto pos = std::lower_bound(
         busy.begin(), busy.end(), entry,
         [](const ListScheduleEntry& a, const ListScheduleEntry& b) {
-          return a.start < b.start;
+          return a.start != b.start ? a.start < b.start : a.finish < b.finish;
         });
     busy.insert(pos, entry);
   }

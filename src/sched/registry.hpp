@@ -20,9 +20,14 @@
 //                          comm) alone; the config seed is ignored.
 //  * stateless_per_epoch — each epoch decision is derivable from the epoch
 //                          context plus immutable per-run data computed in
-//                          on_run_start; nothing is carried epoch to
-//                          epoch, so a run resumed from a mid-run
-//                          checkpoint replays bit-identically.
+//                          on_run_start; no decision state is carried
+//                          epoch to epoch, so a run resumed from a mid-run
+//                          checkpoint replays bit-identically.  A policy
+//                          may keep a per-run memo of values that, once
+//                          computed from an epoch context, stay fixed for
+//                          the rest of the run (ETF's per-processor start
+//                          costs of a ready task), provided on_run_start
+//                          clears it.
 //  * pure_decision       — stronger: the decision is a pure function of
 //                          (ready set, idle set, mapping, levels) only.
 //                          This is the oracle-eligibility trait: the

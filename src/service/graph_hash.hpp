@@ -16,6 +16,15 @@
 // sweep); a non-automorphic WL tie can at worst miss a hit, never corrupt
 // one.
 //
+// Cost: the refinement keeps an ordered partition and, after the first
+// full round, recomputes signatures only for cells next to a piece that
+// just split off (all pieces of a split cell but one largest).  An
+// individualization moves one node out of its cell and re-examines only
+// the cells around it, so symmetric graphs — fork-join stages of hundreds
+// of interchangeable tasks — cost roughly linear work rather than a full
+// O(n log n) re-refinement per individualized node.  `refined_nodes`
+// counts the signatures computed.
+//
 // The exposed 64-bit FNV-1a hash is for display and bucketing only; the
 // cache compares full key strings exactly.
 
@@ -43,6 +52,9 @@ struct CanonicalInstance {
   std::string key;
   /// FNV-1a of `key` (display / bucketing; never trusted for equality).
   std::uint64_t hash = 0;
+  /// Node signatures the task and processor refinements computed — a
+  /// deterministic measure of canonicalization work (see the file comment).
+  std::int64_t refined_nodes = 0;
 };
 
 /// Canonicalizes one instance.  Deterministic; label-invariant for

@@ -241,7 +241,9 @@ class EpochObserver {
 /// core/incremental_cost.hpp for the damage-frontier argument).  The
 /// policy must be stateless across epochs (on_run_start is re-invoked on
 /// every resume, but epochs before the checkpoint are not re-played
-/// against the policy).
+/// against the policy).  A per-run memo of values that stay fixed for the
+/// rest of the run once computed is allowed if on_run_start clears it: the
+/// resumed run refills it from the checkpoint's state.
 class ResumableEngine {
  public:
   ResumableEngine(const TaskGraph& graph, const Topology& topology,

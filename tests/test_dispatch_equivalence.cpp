@@ -1,11 +1,12 @@
 // Dispatch equivalence: the rank-ordered policies of src/sched select only
 // the k = min(|ready|, |idle|) tasks they can assign at each epoch (top-k
 // selection for HLF, list-hlf and dagprio; the shared PinnedDispatch for
-// pinned, repin and HEFT/PEFT).  This file keeps reference copies of the
-// full-sort dispatch rules those policies implement and requires the same
-// per-epoch assignment sequence, makespan and placement — on seeded
-// random, fork-join and tie-heavy graphs, with no faults, with machine
-// crashes, and with deadline-bearing arrivals.
+// pinned, repin and HEFT/PEFT), and ETF looks up per-run memoized start
+// costs.  This file keeps reference copies of the full-sort (and, for
+// ETF, recompute-every-epoch) dispatch rules those policies implement and
+// requires the same per-epoch assignment sequence, makespan and
+// placement — on seeded random, fork-join and tie-heavy graphs, with no
+// faults, with machine crashes, and with deadline-bearing arrivals.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "graph/analysis.hpp"
 #include "graph/generators.hpp"
 #include "sched/dagprio.hpp"
+#include "sched/etf.hpp"
 #include "sched/fixed_list.hpp"
 #include "sched/heft.hpp"
 #include "sched/hlf.hpp"
@@ -314,6 +316,50 @@ class RefDagPrio : public sim::SchedulingPolicy {
   double w_age_;
 };
 
+/// ETF as it was before the start-cost memo: every epoch recomputes the
+/// analytic incoming cost of every (ready task, idle processor) pair.
+class RefEtf : public sim::SchedulingPolicy {
+ public:
+  void on_epoch(sim::EpochContext& ctx) override {
+    std::vector<TaskId> tasks(ctx.ready_tasks().begin(),
+                              ctx.ready_tasks().end());
+    std::vector<ProcId> procs(ctx.idle_procs().begin(),
+                              ctx.idle_procs().end());
+    while (!tasks.empty() && !procs.empty()) {
+      std::size_t best_task = 0;
+      std::size_t best_proc = 0;
+      Time best_ready = kTimeInfinity;
+      Time best_level = -1;
+      for (std::size_t ti = 0; ti < tasks.size(); ++ti) {
+        const Time level = ctx.levels()[static_cast<std::size_t>(tasks[ti])];
+        for (std::size_t pi = 0; pi < procs.size(); ++pi) {
+          const Time ready =
+              sched::incoming_comm_cost(ctx, tasks[ti], procs[pi]);
+          const bool better =
+              ready < best_ready ||
+              (ready == best_ready &&
+               (level > best_level ||
+                (level == best_level &&
+                 (tasks[ti] < tasks[best_task] ||
+                  (tasks[ti] == tasks[best_task] &&
+                   procs[pi] < procs[best_proc])))));
+          if (better) {
+            best_task = ti;
+            best_proc = pi;
+            best_ready = ready;
+            best_level = level;
+          }
+        }
+      }
+      ctx.assign(tasks[best_task], procs[best_proc]);
+      tasks.erase(tasks.begin() + static_cast<std::ptrdiff_t>(best_task));
+      procs.erase(procs.begin() + static_cast<std::ptrdiff_t>(best_proc));
+    }
+  }
+
+  std::string name() const override { return "ref-etf"; }
+};
+
 // ---------------------------------------------------------------------------
 // Instances and the comparison harness.
 
@@ -338,6 +384,21 @@ class DecisionRecorder final : public sim::EpochObserver {
     }
   }
   std::vector<Decision> decisions;
+};
+
+/// Keeps a checkpoint of every `stride`-th epoch.
+class CheckpointEvery final : public sim::EpochObserver {
+ public:
+  explicit CheckpointEvery(int stride) : stride_(stride) {}
+  void on_epoch(const sim::EpochView& epoch) override {
+    if (epoch.epoch_index() % stride_ == 0) {
+      checkpoints.push_back(epoch.checkpoint());
+    }
+  }
+  std::vector<sim::SimCheckpoint> checkpoints;
+
+ private:
+  int stride_;
 };
 
 struct Outcome {
@@ -447,6 +508,8 @@ std::vector<PolicyPair> policy_pairs() {
           return std::make_unique<sched::DagPrioScheduler>(w_cp, 1.0, 0.1);
         });
   }
+  add("etf", [](const Instance&) { return std::make_unique<RefEtf>(); },
+      [](const Instance&) { return std::make_unique<sched::EtfScheduler>(); });
   return pairs;
 }
 
@@ -569,6 +632,57 @@ TEST(DispatchEquivalence, ArrivalsWithDeadlines) {
     inst.arrivals = std::move(plan);
     expect_equivalent(inst);
   }
+}
+
+TEST(DispatchEquivalence, EtfResumeMatchesFullRun) {
+  // ETF carries a per-run memo.  ResumableEngine re-invokes on_run_start
+  // on every resume without replaying the earlier epochs, so the rows of
+  // tasks already ready at the checkpoint must be refilled from its
+  // placement; and on_run_start must drop every row of the previous run.
+  sim::FaultSpec crashes;
+  crashes.machine_mtbf = us(std::int64_t{250});
+  crashes.machine_mttr = us(std::int64_t{120});
+  crashes.seed = 17;
+  for (const bool faulty : {false, true}) {
+    Instance inst = make_instance(
+        faulty ? "gnp500/crash" : "gnp500",
+        gnp(500, 31, us(std::int64_t{5}), us(std::int64_t{50}),
+            us(std::int64_t{16})));
+    if (faulty) inst.faults = crashes;
+    SCOPED_TRACE(inst.name);
+    sim::SimOptions options;
+    options.record_trace = false;
+    if (inst.faults) options.faults = &*inst.faults;
+    sched::EtfScheduler etf;
+    sim::ResumableEngine engine(inst.graph, inst.topology, inst.comm, etf,
+                                options);
+    CheckpointEvery capture(7);
+    const sim::SimResult full = engine.run(&capture);
+    ASSERT_GT(capture.checkpoints.size(), 2u);
+    for (const sim::SimCheckpoint& cp : capture.checkpoints) {
+      const sim::SimResult resumed = engine.resume(cp);
+      EXPECT_EQ(resumed.makespan, full.makespan)
+          << "resume from epoch " << cp.epoch_index();
+      EXPECT_EQ(resumed.placement, full.placement);
+      EXPECT_EQ(resumed.num_epochs, full.num_epochs);
+      EXPECT_EQ(resumed.num_task_restarts, full.num_task_restarts);
+    }
+  }
+  // Reused on another graph of the same size, the policy must match a
+  // fresh one: nothing memoized for the previous graph survives.
+  const TaskGraph other = gnp(500, 32, us(std::int64_t{5}),
+                              us(std::int64_t{50}), us(std::int64_t{16}));
+  sched::EtfScheduler reused;
+  sched::EtfScheduler fresh;
+  const Topology machine = topo::hypercube(3);
+  const CommModel comm = CommModel::paper_default();
+  (void)sim::simulate(gnp(500, 31, us(std::int64_t{5}), us(std::int64_t{50}),
+                          us(std::int64_t{16})),
+                      machine, comm, reused);
+  const sim::SimResult want = sim::simulate(other, machine, comm, fresh);
+  const sim::SimResult got = sim::simulate(other, machine, comm, reused);
+  EXPECT_EQ(got.makespan, want.makespan);
+  EXPECT_EQ(got.placement, want.placement);
 }
 
 }  // namespace

@@ -258,7 +258,8 @@ TEST(HeftSchedule, PlanConsistencyProperty) {
 
 /// The linear-scan planner heft_schedule replaced with a ready heap: the
 /// same ranks, insertion slots and placement keys, but the next task is
-/// the first highest-rank ready task of an O(n) scan over all task ids.
+/// the first highest-rank ready task of an O(n) scan over all task ids,
+/// and every insertion scan starts at the processor's first busy slot.
 sched::ListSchedule linear_scan_schedule(const TaskGraph& g,
                                          const Topology& machine,
                                          const CommModel& comm,
@@ -422,6 +423,82 @@ TEST(HeftSchedule, HeapPlannerMatchesLinearScanReference) {
           expect_same_plan(
               sched::heft_schedule(graphs[i], machine, comm, variant, mask),
               linear_scan_schedule(graphs[i], machine, comm, variant, mask));
+        }
+      }
+    }
+  }
+}
+
+/// A random DAG whose durations and edge weights come from tiny sets with
+/// zero in each: many zero-length slots, and many slots ending exactly
+/// where a successor's inputs arrive.
+TaskGraph zero_heavy_dag(int n, std::uint64_t seed) {
+  Rng rng(seed);
+  const Time durations[] = {0, 0, us(std::int64_t{5}), us(std::int64_t{10})};
+  const Time weights[] = {0, 0, us(std::int64_t{5})};
+  TaskGraph graph("zero-heavy");
+  for (int t = 0; t < n; ++t) {
+    graph.add_task("t" + std::to_string(t), durations[rng.uniform_index(4)]);
+  }
+  for (TaskId to = 1; to < n; ++to) {
+    const int fan_in = static_cast<int>(rng.uniform_index(3));
+    for (int k = 0; k < fan_in; ++k) {
+      const auto from = static_cast<TaskId>(
+          rng.uniform_index(static_cast<std::size_t>(to)));
+      if (!graph.has_edge(from, to)) {
+        graph.add_edge(from, to, weights[rng.uniform_index(3)]);
+      }
+    }
+  }
+  return graph;
+}
+
+TEST(HeftSchedule, InsertionSearchMatchesReferenceOnZeroLengthAndAlignedSlots) {
+  // The planner skips each timeline's prefix of slots ending at or before
+  // the task's earliest start.  The edge cases: zero-duration tasks (and
+  // zero-length slots at exactly that start), zero-weight edges, and
+  // gap-heavy timelines where many slots end exactly at the start.
+  const Time d5 = us(std::int64_t{5});
+  std::vector<TaskGraph> graphs;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    graphs.push_back(zero_heavy_dag(60 + 20 * static_cast<int>(seed), seed));
+  }
+  graphs.push_back(gen::fork_join(4, 20, 0, d5, 0, 0));
+  graphs.push_back(gen::fork_join(3, 17, 0, 0, d5, 0));
+  graphs.push_back(gen::out_tree(4, 3, 0, 0));
+  graphs.push_back(gen::in_tree(4, 3, d5, 0));
+  graphs.push_back(gen::chain(30, 0, 0));
+  {
+    gen::LayeredDagOptions options;
+    options.layers = 6;
+    options.min_duration = d5;
+    options.max_duration = d5;
+    options.max_weight = 0;
+    options.seed = 3;
+    graphs.push_back(gen::layered_dag(options));
+  }
+
+  const std::vector<char> some_excluded = {1, 0, 0, 1, 0, 1, 0, 0};
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    for (const Topology& machine : {topo::hypercube(3), topo::ring(3)}) {
+      for (const CommModel& comm :
+           {CommModel::paper_default(), CommModel::disabled()}) {
+        for (const std::vector<char>* mask :
+             {static_cast<const std::vector<char>*>(nullptr),
+              &some_excluded}) {
+          for (const sched::HeftVariant variant :
+               {sched::HeftVariant::Heft, sched::HeftVariant::Peft}) {
+            SCOPED_TRACE("graph " + std::to_string(i) + " on " +
+                         machine.name() +
+                         (comm.enabled ? " comm " : " nocomm ") +
+                         (mask != nullptr ? "masked " : "") +
+                         (variant == sched::HeftVariant::Peft ? "peft"
+                                                              : "heft"));
+            expect_same_plan(
+                sched::heft_schedule(graphs[i], machine, comm, variant, mask),
+                linear_scan_schedule(graphs[i], machine, comm, variant,
+                                     mask));
+          }
         }
       }
     }

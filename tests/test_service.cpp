@@ -13,6 +13,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -22,6 +24,7 @@
 #include "service/plan_cache.hpp"
 #include "service/service.hpp"
 #include "topology/builders.hpp"
+#include "util/require.hpp"
 #include "util/rng.hpp"
 
 namespace dagsched {
@@ -72,6 +75,286 @@ TaskGraph relabel(const TaskGraph& graph,
   }
   return out;
 }
+
+// ------------------------------------- canonicalization differential
+
+// A copy of the full-refinement labeling the incremental refinement in
+// service/graph_hash.cpp replaced: every round recomputes every node's
+// signature, and every individualization re-refines the whole graph.  The
+// incremental version must reproduce its key and both permutations byte
+// for byte.
+namespace full_refine {
+
+/// A node-and-edge-labeled graph in the shape the refinement works on:
+/// per-node integer keys seeding the initial coloring, and (edge key,
+/// neighbor) adjacency.  Directed graphs fill both lists; undirected ones
+/// mirror every edge into `out` and leave `in` empty.
+struct RefinementGraph {
+  std::vector<std::int64_t> node_key;
+  std::vector<std::vector<std::pair<std::int64_t, int>>> in;
+  std::vector<std::vector<std::pair<std::int64_t, int>>> out;
+};
+
+using NeighborList = std::vector<std::pair<std::int64_t, int>>;
+
+/// (own color, in-profile, out-profile) — the 1-WL signature.  Leading
+/// with the old color makes each refinement round a strict refinement of
+/// the previous partition, so dense re-numbering preserves class order.
+using Signature = std::tuple<int, NeighborList, NeighborList>;
+
+/// Individualization-refinement canonical labeling.  Returns the
+/// canonical order: `order[c]` is the node at canonical index c.
+std::vector<int> canonical_order(const RefinementGraph& graph) {
+  const int n = static_cast<int>(graph.node_key.size());
+  std::vector<int> color(static_cast<std::size_t>(n), 0);
+  int num_colors = 0;
+
+  // Initial colors: dense rank of the node key (label-invariant).
+  {
+    std::vector<std::int64_t> keys = graph.node_key;
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    for (int v = 0; v < n; ++v) {
+      color[static_cast<std::size_t>(v)] = static_cast<int>(
+          std::lower_bound(keys.begin(), keys.end(),
+                           graph.node_key[static_cast<std::size_t>(v)]) -
+          keys.begin());
+    }
+    num_colors = static_cast<int>(keys.size());
+  }
+
+  std::vector<Signature> signature(static_cast<std::size_t>(n));
+  std::vector<int> order(static_cast<std::size_t>(n));
+
+  const auto refine = [&]() {
+    while (num_colors < n) {
+      for (int v = 0; v < n; ++v) {
+        const std::size_t vi = static_cast<std::size_t>(v);
+        NeighborList in_profile, out_profile;
+        in_profile.reserve(graph.in[vi].size());
+        for (const auto& [key, u] : graph.in[vi]) {
+          in_profile.emplace_back(key, color[static_cast<std::size_t>(u)]);
+        }
+        out_profile.reserve(graph.out[vi].size());
+        for (const auto& [key, u] : graph.out[vi]) {
+          out_profile.emplace_back(key, color[static_cast<std::size_t>(u)]);
+        }
+        std::sort(in_profile.begin(), in_profile.end());
+        std::sort(out_profile.begin(), out_profile.end());
+        signature[vi] = {color[vi], std::move(in_profile),
+                         std::move(out_profile)};
+      }
+      for (int v = 0; v < n; ++v) order[static_cast<std::size_t>(v)] = v;
+      std::sort(order.begin(), order.end(), [&](int a, int b) {
+        return signature[static_cast<std::size_t>(a)] <
+               signature[static_cast<std::size_t>(b)];
+      });
+      int fresh = 0;
+      for (int i = 0; i < n; ++i) {
+        if (i > 0 && signature[static_cast<std::size_t>(order[
+                         static_cast<std::size_t>(i)])] !=
+                         signature[static_cast<std::size_t>(order[
+                             static_cast<std::size_t>(i - 1)])]) {
+          ++fresh;
+        }
+        color[static_cast<std::size_t>(
+            order[static_cast<std::size_t>(i)])] = fresh;
+      }
+      ++fresh;
+      if (fresh == num_colors) break;  // stable partition
+      num_colors = fresh;
+    }
+  };
+
+  refine();
+  // Individualize until discrete: split the first non-singleton class.
+  // Which member is chosen is label-dependent, but for automorphic tie
+  // classes (every class the sweep's generator families produce) all
+  // choices yield the same canonical form — and a non-automorphic tie can
+  // only cost a cache hit, never correctness, because the cache compares
+  // full keys exactly.
+  while (num_colors < n) {
+    std::vector<int> population(static_cast<std::size_t>(num_colors), 0);
+    for (int v = 0; v < n; ++v)
+      ++population[static_cast<std::size_t>(color[static_cast<std::size_t>(v)])];
+    int target = -1;
+    for (int c = 0; c < num_colors; ++c) {
+      if (population[static_cast<std::size_t>(c)] > 1) {
+        target = c;
+        break;
+      }
+    }
+    require(target >= 0, "canonical_order: no splittable class");
+    for (int v = 0; v < n; ++v) {
+      if (color[static_cast<std::size_t>(v)] == target) {
+        color[static_cast<std::size_t>(v)] = num_colors;  // unique tag
+        break;
+      }
+    }
+    ++num_colors;
+    refine();
+  }
+
+  std::vector<int> canonical(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) {
+    canonical[static_cast<std::size_t>(
+        color[static_cast<std::size_t>(v)])] = v;
+  }
+  return canonical;
+}
+
+void append_int(std::string& out, std::int64_t value) {
+  out += std::to_string(value);
+}
+
+CanonicalInstance full_refine_canonicalize(const TaskGraph& graph,
+                                           const Topology& topology,
+                                           const CommModel& comm) {
+  CanonicalInstance instance;
+  const int num_tasks = graph.num_tasks();
+  const int num_procs = topology.num_procs();
+
+  // --- canonical task labeling ---
+  {
+    RefinementGraph rg;
+    rg.node_key.resize(static_cast<std::size_t>(num_tasks));
+    rg.in.resize(rg.node_key.size());
+    rg.out.resize(rg.node_key.size());
+    for (TaskId t = 0; t < num_tasks; ++t) {
+      rg.node_key[static_cast<std::size_t>(t)] = graph.duration(t);
+    }
+    for (const Edge& edge : graph.edges()) {
+      rg.out[static_cast<std::size_t>(edge.from)].emplace_back(edge.weight,
+                                                               edge.to);
+      rg.in[static_cast<std::size_t>(edge.to)].emplace_back(edge.weight,
+                                                            edge.from);
+    }
+    const std::vector<int> order = canonical_order(rg);
+    instance.task_of_canonical.assign(order.begin(), order.end());
+    instance.canonical_of_task.resize(static_cast<std::size_t>(num_tasks));
+    for (int c = 0; c < num_tasks; ++c) {
+      instance.canonical_of_task[static_cast<std::size_t>(
+          order[static_cast<std::size_t>(c)])] = c;
+    }
+  }
+
+  // --- canonical processor labeling ---
+  // Links are undirected; the refinement edge key is the *size* of the
+  // link's contention channel (its sharing degree), which is all the
+  // label-invariant information a single link carries.  Full channel
+  // identity goes into the serialization below.
+  std::vector<std::tuple<ProcId, ProcId, ChannelId>> links;
+  {
+    std::vector<int> channel_size(
+        static_cast<std::size_t>(topology.num_channels()), 0);
+    for (ProcId a = 0; a < num_procs; ++a) {
+      for (ProcId b = a + 1; b < num_procs; ++b) {
+        const ChannelId channel = topology.channel(a, b);
+        if (channel == kInvalidChannel) continue;
+        links.emplace_back(a, b, channel);
+        ++channel_size[static_cast<std::size_t>(channel)];
+      }
+    }
+    RefinementGraph rg;
+    rg.node_key.assign(static_cast<std::size_t>(num_procs), 0);
+    rg.in.resize(rg.node_key.size());
+    rg.out.resize(rg.node_key.size());
+    for (const auto& [a, b, channel] : links) {
+      const std::int64_t key =
+          channel_size[static_cast<std::size_t>(channel)];
+      rg.out[static_cast<std::size_t>(a)].emplace_back(key, b);
+      rg.out[static_cast<std::size_t>(b)].emplace_back(key, a);
+    }
+    const std::vector<int> order = canonical_order(rg);
+    instance.proc_of_canonical.assign(order.begin(), order.end());
+    instance.canonical_of_proc.resize(static_cast<std::size_t>(num_procs));
+    for (int c = 0; c < num_procs; ++c) {
+      instance.canonical_of_proc[static_cast<std::size_t>(
+          order[static_cast<std::size_t>(c)])] = c;
+    }
+  }
+
+  // --- serialization under the canonical labels ---
+  std::string& key = instance.key;
+  key.reserve(64 + 16 * static_cast<std::size_t>(num_tasks) +
+              8 * links.size());
+  key += "g:";
+  append_int(key, num_tasks);
+  key += ";d:";
+  for (int c = 0; c < num_tasks; ++c) {
+    if (c > 0) key += ',';
+    append_int(key,
+               graph.duration(instance.task_of_canonical[
+                   static_cast<std::size_t>(c)]));
+  }
+  key += ";e:";
+  {
+    std::vector<std::tuple<int, int, Time>> edges;
+    edges.reserve(static_cast<std::size_t>(graph.num_edges()));
+    for (const Edge& edge : graph.edges()) {
+      edges.emplace_back(
+          instance.canonical_of_task[static_cast<std::size_t>(edge.from)],
+          instance.canonical_of_task[static_cast<std::size_t>(edge.to)],
+          edge.weight);
+    }
+    std::sort(edges.begin(), edges.end());
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      if (i > 0) key += ';';
+      append_int(key, std::get<0>(edges[i]));
+      key += '-';
+      append_int(key, std::get<1>(edges[i]));
+      key += '-';
+      append_int(key, std::get<2>(edges[i]));
+    }
+  }
+  key += "|p:";
+  append_int(key, num_procs);
+  key += ";l:";
+  {
+    // Canonical link list with channels renumbered by first appearance,
+    // so channel-sharing structure (bus vs. point-to-point) is captured
+    // without depending on the builder's channel numbering.
+    std::vector<std::tuple<int, int, ChannelId>> canonical_links;
+    canonical_links.reserve(links.size());
+    for (const auto& [a, b, channel] : links) {
+      int ca = instance.canonical_of_proc[static_cast<std::size_t>(a)];
+      int cb = instance.canonical_of_proc[static_cast<std::size_t>(b)];
+      if (ca > cb) std::swap(ca, cb);
+      canonical_links.emplace_back(ca, cb, channel);
+    }
+    std::sort(canonical_links.begin(), canonical_links.end());
+    std::vector<int> channel_rank(
+        static_cast<std::size_t>(topology.num_channels()), -1);
+    int next_rank = 0;
+    for (std::size_t i = 0; i < canonical_links.size(); ++i) {
+      const auto& [ca, cb, channel] = canonical_links[i];
+      int& rank = channel_rank[static_cast<std::size_t>(channel)];
+      if (rank < 0) rank = next_rank++;
+      if (i > 0) key += ';';
+      append_int(key, ca);
+      key += '-';
+      append_int(key, cb);
+      key += '-';
+      append_int(key, rank);
+    }
+  }
+  key += "|c:";
+  if (comm.enabled) {
+    key += "1,";
+    append_int(key, comm.sigma);
+    key += ',';
+    append_int(key, comm.tau);
+    key += ',';
+    key += to_string(comm.send_cpu);
+  } else {
+    key += "0";
+  }
+
+  instance.hash = service::fnv1a(key);
+  return instance;
+}
+
+}  // namespace full_refine
 
 // ---------------------------------------------------------- graph hash
 
@@ -196,6 +479,168 @@ TEST(GraphHash, RandomRelabelingSweepNoCollisions) {
     }
   }
   EXPECT_EQ(instances, 24);
+}
+
+/// A random permutation of 0..n-1.
+std::vector<int> shuffled_labels(int n, Rng& rng) {
+  std::vector<int> permutation(static_cast<std::size_t>(n));
+  std::iota(permutation.begin(), permutation.end(), 0);
+  for (std::size_t i = permutation.size(); i > 1; --i) {
+    std::swap(permutation[i - 1], permutation[rng.uniform_index(i)]);
+  }
+  return permutation;
+}
+
+/// `topology`'s links under the processor relabeling `permutation`, with
+/// the link list itself shuffled.  Point-to-point topologies only.
+Topology relabel_links(const Topology& topology,
+                       const std::vector<int>& permutation, Rng& rng) {
+  std::vector<std::pair<int, int>> links;
+  for (ProcId a = 0; a < topology.num_procs(); ++a) {
+    for (ProcId b = a + 1; b < topology.num_procs(); ++b) {
+      if (topology.channel(a, b) == kInvalidChannel) continue;
+      links.emplace_back(permutation[static_cast<std::size_t>(b)],
+                         permutation[static_cast<std::size_t>(a)]);
+    }
+  }
+  for (std::size_t i = links.size(); i > 1; --i) {
+    std::swap(links[i - 1], links[rng.uniform_index(i)]);
+  }
+  return Topology::from_links(topology.num_procs(), links,
+                              topology.name() + "-relabeled");
+}
+
+void expect_same_canonical_form(const TaskGraph& graph,
+                                const Topology& topology,
+                                const CommModel& comm) {
+  const CanonicalInstance want =
+      full_refine::full_refine_canonicalize(graph, topology, comm);
+  const CanonicalInstance got = canonicalize_instance(graph, topology, comm);
+  EXPECT_EQ(got.key, want.key);
+  EXPECT_EQ(got.task_of_canonical, want.task_of_canonical);
+  EXPECT_EQ(got.canonical_of_task, want.canonical_of_task);
+  EXPECT_EQ(got.proc_of_canonical, want.proc_of_canonical);
+  EXPECT_EQ(got.canonical_of_proc, want.canonical_of_proc);
+  EXPECT_EQ(got.hash, want.hash);
+}
+
+TEST(GraphHash, IncrementalRefinementMatchesFullRefinement) {
+  // Symmetric and tie-heavy graphs, where refinement stalls and
+  // individualization does most of the work, plus random graphs whose
+  // narrow duration and weight ranges make equal signatures common.
+  const Time d5 = us(std::int64_t{5});
+  const Time d10 = us(std::int64_t{10});
+  std::vector<std::pair<std::string, TaskGraph>> graphs;
+  for (int width = 1; width <= 64; ++width) {
+    graphs.emplace_back("fork_join/" + std::to_string(width),
+                        gen::fork_join(3, width, d10, us(std::int64_t{20}),
+                                       d10, us(std::int64_t{4})));
+  }
+  graphs.emplace_back("out_tree", gen::out_tree(4, 3, d10, d5));
+  graphs.emplace_back("in_tree", gen::in_tree(4, 3, d10, d5));
+  graphs.emplace_back("out_tree/binary", gen::out_tree(6, 2, d10, 0));
+  graphs.emplace_back("independent", gen::independent(40, d5));
+  graphs.emplace_back("chain", gen::chain(30, d5, d5));
+  // Generators draw durations and weights in nanoseconds: ranges a few
+  // nanoseconds wide leave only a handful of distinct values.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    gen::GnpDagOptions gnp;
+    gnp.num_tasks = 60;
+    gnp.edge_probability = 0.06;
+    gnp.min_duration = d5;
+    gnp.max_duration = d5 + 2;
+    gnp.min_weight = 0;
+    gnp.max_weight = 1;
+    gnp.seed = seed;
+    graphs.emplace_back("gnp/" + std::to_string(seed), gen::gnp_dag(gnp));
+    gen::LayeredDagOptions layered;
+    layered.layers = 5;
+    layered.min_width = 3;
+    layered.max_width = 8;
+    layered.edge_probability = 0.3;
+    layered.min_duration = d5;
+    layered.max_duration = d5;
+    layered.min_weight = 1;
+    layered.max_weight = 2;
+    layered.seed = seed;
+    graphs.emplace_back("layered/" + std::to_string(seed),
+                        gen::layered_dag(layered));
+  }
+  // Small dense DAGs over one to three durations and weights: refinement
+  // rounds split several cells at once, so they catch a refinement that
+  // lets one cell's split reorder another cell of the same round.
+  Rng shapes(7);
+  for (int i = 0; i < 60; ++i) {
+    const int n = 6 + static_cast<int>(shapes.uniform_index(40));
+    const std::size_t durations = 1 + shapes.uniform_index(3);
+    const std::size_t weights = 1 + shapes.uniform_index(3);
+    const double density = 0.05 + 0.3 * shapes.uniform01();
+    TaskGraph graph("tiny-alphabet");
+    for (int t = 0; t < n; ++t) {
+      graph.add_task("t" + std::to_string(t),
+                     d5 + static_cast<Time>(shapes.uniform_index(durations)));
+    }
+    for (TaskId a = 0; a < n; ++a) {
+      for (TaskId b = a + 1; b < n; ++b) {
+        if (shapes.uniform01() < density) {
+          graph.add_edge(a, b,
+                         static_cast<Time>(shapes.uniform_index(weights)));
+        }
+      }
+    }
+    graphs.emplace_back("tiny-alphabet/" + std::to_string(i), std::move(graph));
+  }
+  {
+    gen::GnpDagOptions gnp;
+    gnp.num_tasks = 4000;
+    gnp.edge_probability = 4.0 / 4000;
+    gnp.min_duration = d5;
+    gnp.max_duration = d5 + 3;
+    gnp.max_weight = 2;
+    gnp.seed = 41;
+    graphs.emplace_back("gnp4k", gen::gnp_dag(gnp));
+  }
+
+  // Processor labeling does not depend on the task graph, so the graphs
+  // take the topologies in turn rather than all three each.
+  const Topology topologies[] = {topo::hypercube(3), topo::bus(4),
+                                 topo::ring(5)};
+  const CommModel comm = CommModel::paper_default();
+  Rng rng(13);
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    const auto& [name, graph] = graphs[i];
+    const Topology& topology = topologies[i % 3];
+    SCOPED_TRACE(name + " on " + topology.name());
+    const std::vector<int> labels = shuffled_labels(graph.num_tasks(), rng);
+    const TaskGraph relabeled =
+        relabel(graph, std::vector<TaskId>(labels.begin(), labels.end()));
+    expect_same_canonical_form(graph, topology, comm);
+    expect_same_canonical_form(relabeled, topology, comm);
+    if (topology.num_channels() == topology.num_links()) {
+      const Topology procs_relabeled = relabel_links(
+          topology, shuffled_labels(topology.num_procs(), rng), rng);
+      expect_same_canonical_form(relabeled, procs_relabeled, comm);
+    }
+  }
+}
+
+TEST(GraphHash, RefinementWorkIsLinearOnForkJoin) {
+  // Deterministic complexity guard (no clock): the signatures computed to
+  // canonicalize fork_join(8, w) grow linearly in the graph size.  A full
+  // re-refinement per individualization computes about n per chosen node,
+  // i.e. grows like n^2.
+  const Topology topology = topo::hypercube(3);
+  const CommModel comm = CommModel::paper_default();
+  for (const int width : {64, 256, 1024}) {
+    const TaskGraph graph =
+        gen::fork_join(8, width, us(std::int64_t{10}), us(std::int64_t{20}),
+                       us(std::int64_t{10}), us(std::int64_t{4}));
+    const std::int64_t size = graph.num_tasks() + graph.num_edges();
+    const CanonicalInstance instance =
+        canonicalize_instance(graph, topology, comm);
+    EXPECT_GT(instance.refined_nodes, 0) << "width " << width;
+    EXPECT_LE(instance.refined_nodes, 8 * size) << "width " << width;
+  }
 }
 
 TEST(GraphHash, CacheKeySeedPolicyComposition) {
