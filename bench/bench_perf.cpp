@@ -22,9 +22,11 @@
 #include "sched/heft.hpp"
 #include "sched/hlf.hpp"
 #include "sched/registry.hpp"
+#include "service/api.hpp"
 #include "service/graph_hash.hpp"
 #include "sim/engine.hpp"
 #include "topology/builders.hpp"
+#include "util/json.hpp"
 #include "workloads/registry.hpp"
 
 namespace {
@@ -351,5 +353,29 @@ BENCHMARK_CAPTURE(BM_Canonicalize, fork_join, true)
     ->Arg(256)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Canonicalize, gnp, false)->Apply(ladder_rungs);
+
+/// schedd's per-request reader work: parse_json + request_from_json of
+/// one gnp-style wire line (~4 edges per task, the shape of the
+/// schedd_stream benchmark's requests); tasks and bytes read per second.
+void BM_ParseRequest(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  gen::GnpDagOptions options;
+  options.num_tasks = n;
+  options.edge_probability = 8.0 / static_cast<double>(n - 1);
+  options.seed = 15;
+  service::ScheduleRequest request;
+  request.id = "r1";
+  request.policy = "heft";
+  request.graph = gen::gnp_dag(options);
+  const std::string line = service::to_json(request);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        service::request_from_json(parse_json(line)).graph.num_edges());
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(line.size()));
+}
+BENCHMARK(BM_ParseRequest)->Arg(64)->Arg(512);
 
 }  // namespace

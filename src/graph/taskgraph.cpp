@@ -28,6 +28,15 @@ void TaskGraph::add_edge(TaskId from, TaskId to, Time weight) {
   preds_[static_cast<std::size_t>(to)].push_back(EdgeRef{from, weight});
 }
 
+void TaskGraph::reserve(std::size_t tasks, std::size_t edges) {
+  durations_.reserve(tasks);
+  task_names_.reserve(tasks);
+  preds_.reserve(tasks);
+  succs_.reserve(tasks);
+  edges_.reserve(edges);
+  edge_index_.reserve(edges);
+}
+
 void TaskGraph::set_duration(TaskId task, Time duration) {
   require(is_valid_task(task), "TaskGraph::set_duration: bad task");
   require(duration >= 0, "TaskGraph::set_duration: negative duration");

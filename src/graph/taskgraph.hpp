@@ -54,6 +54,10 @@ class TaskGraph {
   /// Self-loops and duplicate edges are rejected.
   void add_edge(TaskId from, TaskId to, Time weight);
 
+  /// Sizes the task and edge storage for a graph about to be filled, so
+  /// the add_task/add_edge calls that follow do not regrow it.
+  void reserve(std::size_t tasks, std::size_t edges);
+
   // -- attribute updates (used by the workload tuners) ---------------------
   void set_duration(TaskId task, Time duration);
   void set_edge_weight(TaskId from, TaskId to, Time weight);

@@ -1,8 +1,10 @@
+#include <algorithm>
 #include <cstddef>
+#include <iterator>
 
 #include "lint/model.hpp"
 
-// The five contract rules.  Each is a lexical pattern over the FileModel
+// The six contract rules.  Each is a lexical pattern over the FileModel
 // token stream; docs/ARCHITECTURE.md ("Machine-checked contracts") maps
 // every rule back to the prose invariant it enforces.
 
@@ -319,6 +321,43 @@ void check_bare_assert(const FileModel& model, std::vector<RawFinding>& out) {
            "(DAGSCHED_KEEP_ASSERTS): invariants use require()/ensure() "
            "with a message; hot-path bounds checks keep assert with a "
            "LINT-ALLOW reason"});
+    }
+  }
+}
+
+void check_locale_number(const FileModel& model,
+                         std::vector<RawFinding>& out) {
+  static const char* const kReaders[] = {"strtod", "strtof", "strtold", "atof",
+                                         "stod",   "stof",   "stold"};
+  // Keywords an expression may follow; any other identifier before the
+  // name is a type, so the name is being declared.
+  static const char* const kBeforeExpression[] = {"return", "co_return",
+                                                  "throw", "else"};
+  const std::vector<Token>& tokens = model.tokens;
+  for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
+    if (tokens[i].kind != TokenKind::Identifier ||
+        !is_punct(tokens[i + 1], "(")) {
+      continue;
+    }
+    // Calls only: not a member (`reader.stod(`) and not a declaration
+    // (`double stod(`), whose name follows a type.
+    if (i > 0 &&
+        (is_punct(tokens[i - 1], ".") || is_punct(tokens[i - 1], "->") ||
+         (tokens[i - 1].kind == TokenKind::Identifier &&
+          std::find(std::begin(kBeforeExpression), std::end(kBeforeExpression),
+                    tokens[i - 1].text) == std::end(kBeforeExpression)))) {
+      continue;
+    }
+    for (const char* name : kReaders) {
+      if (tokens[i].text == name) {
+        out.push_back(
+            {tokens[i].line, "locale-number",
+             tokens[i].text +
+                 "(): the decimal point it accepts follows LC_NUMERIC, so "
+                 "the same text parses differently under another locale; "
+                 "use parse_real (util/string_util), which reads numbers "
+                 "with std::from_chars"});
+      }
     }
   }
 }

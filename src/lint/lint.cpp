@@ -221,7 +221,7 @@ bool path_in_scope(const std::string& norm_path,
 const std::vector<std::string>& known_checks() {
   static const std::vector<std::string> kChecks = {
       "wall-clock", "unordered-iter", "rng-stream", "float-format",
-      "bare-assert",
+      "bare-assert", "locale-number",
   };
   return kChecks;
 }
@@ -257,6 +257,9 @@ std::vector<Finding> lint_source(const std::string& path,
     check_float_format(model, options, raw);
   }
   if (check_enabled(options, "bare-assert")) check_bare_assert(model, raw);
+  if (check_enabled(options, "locale-number")) {
+    check_locale_number(model, raw);
+  }
 
   // Suppression pass: a finding is dropped when a matching LINT-ALLOW sits
   // on its line or the line directly above.  lint-allow hygiene findings

@@ -8,7 +8,7 @@
 // and reviewer vigilance only.  This library turns the documented
 // invariants into lexical pattern rules over translation units, run by the
 // `dagsched-lint` CLI (tools/lint_main.cpp), the `lint_repo` CTest and the
-// CI lint job.  Five checks:
+// CI lint job.  Six checks:
 //
 //   wall-clock     steady_clock / system_clock / high_resolution_clock /
 //                  std::random_device / ::rand / ::srand / gettimeofday /
@@ -38,6 +38,13 @@
 //                  require()/ensure() (util/require.hpp) with a message;
 //                  the sanctioned hot-path bounds checks carry
 //                  suppressions explaining their perf contract.
+//   locale-number  a call to strtod / strtof / strtold / atof /
+//                  std::stod / std::stof / std::stold in linted code.
+//                  They take the decimal point
+//                  from LC_NUMERIC, so "0.5" stops parsing at the '.'
+//                  under a comma locale; numbers are read through
+//                  parse_real / parse_int64 (util/string_util), which use
+//                  std::from_chars and keep strtod's grammar.
 //
 // Suppression syntax (same line as the finding or the line directly
 // above):

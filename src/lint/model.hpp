@@ -37,7 +37,7 @@ struct RawFinding {
 bool path_in_scope(const std::string& norm_path,
                    const std::vector<std::string>& fragments);
 
-// The five contract rules (checks.cpp).  Each appends to `out`.
+// The six contract rules (checks.cpp).  Each appends to `out`.
 void check_wall_clock(const FileModel& model, std::vector<RawFinding>& out);
 void check_unordered_iter(const FileModel& model, const LintOptions& options,
                           std::vector<RawFinding>& out);
@@ -45,5 +45,7 @@ void check_rng_stream(const FileModel& model, std::vector<RawFinding>& out);
 void check_float_format(const FileModel& model, const LintOptions& options,
                         std::vector<RawFinding>& out);
 void check_bare_assert(const FileModel& model, std::vector<RawFinding>& out);
+void check_locale_number(const FileModel& model,
+                         std::vector<RawFinding>& out);
 
 }  // namespace dagsched::lint

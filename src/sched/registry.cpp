@@ -35,33 +35,32 @@ const char* kind_name(ConfigValueKind kind) {
   return "?";
 }
 
+// Both readers accept what std::stoll/std::stod did (leading whitespace,
+// a '+', and for reals "inf", "nan" and "0x" hex floats) but without the C
+// locale: policy calls arrive on every schedd request.
 std::int64_t parse_config_int(const std::string& policy,
                               const std::string& key,
                               const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const std::int64_t parsed = std::stoll(value, &used);
-    if (used != value.size()) throw std::invalid_argument(value);
-    return parsed;
-  } catch (const std::exception&) {
+  const ParsedInt parsed = parse_int64(value);
+  if (parsed.used == 0 || parsed.used != value.size() ||
+      parsed.out_of_range) {
     throw std::invalid_argument("policy '" + policy + "': config key '" +
                                 key + "' takes an integer, got '" + value +
                                 "'");
   }
+  return parsed.value;
 }
 
 double parse_config_real(const std::string& policy, const std::string& key,
                          const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double parsed = std::stod(value, &used);
-    if (used != value.size()) throw std::invalid_argument(value);
-    return parsed;
-  } catch (const std::exception&) {
+  const ParsedReal parsed = parse_real(value);
+  if (parsed.used == 0 || parsed.used != value.size() ||
+      parsed.out_of_range) {
     throw std::invalid_argument("policy '" + policy + "': config key '" +
                                 key + "' takes a real number, got '" +
                                 value + "'");
   }
+  return parsed.value;
 }
 
 [[noreturn]] void fail_policy(const std::string& policy,

@@ -108,6 +108,13 @@ TaskGraph parse_graph(const JsonValue& value) {
   if (names != nullptr && names->items().size() != duration_items.size()) {
     fail("'graph.names' length differs from the duration list");
   }
+  // Size the graph up front; a malformed 'edges' is reported later, after
+  // the tasks, as before.
+  const JsonValue* edges = value.find("edges");
+  graph.reserve(duration_items.size(),
+                edges != nullptr && edges->kind() == JsonValue::Kind::Array
+                    ? edges->items().size()
+                    : 0);
   for (std::size_t i = 0; i < duration_items.size(); ++i) {
     const Time duration =
         in_us ? us(nonnegative_number(duration_items[i], "task duration"))
@@ -122,7 +129,7 @@ TaskGraph parse_graph(const JsonValue& value) {
     graph.add_task(std::move(task_name), duration);
   }
 
-  if (const JsonValue* edges = value.find("edges")) {
+  if (edges != nullptr) {
     for (const JsonValue& edge : edges->items()) {
       const std::vector<JsonValue>& parts = edge.items();
       if (parts.size() != 3) {

@@ -227,6 +227,16 @@ Schedd::Schedd(ScheddOptions options)
 int Schedd::run(std::istream& in, std::ostream& out, std::ostream* trace) {
   stats_ = ScheddStats{};
 
+  // Only the emit path, under emit_mutex, touches `out`.  A stream tied
+  // to `in` (std::cin is tied to std::cout) would be flushed by every
+  // read on the reader thread, racing the workers' emits, so the tie is
+  // cut for the run and restored on the way out.
+  struct TieGuard {
+    std::istream& in;
+    std::ostream* saved;
+    ~TieGuard() { in.tie(saved); }
+  } const untie{in, in.tie(nullptr)};
+
   // --- ordered emission state (guarded by emit_mutex) ---
   std::mutex emit_mutex;
   std::map<std::uint64_t, Outcome> parked;

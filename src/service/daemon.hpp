@@ -73,6 +73,13 @@ class Schedd {
   /// trace events to `trace`.  Blocks until the queue is drained and all
   /// workers have exited.  Returns 0 (per-request failures are responses,
   /// not process failures).
+  ///
+  /// `out` and `trace` are written only by the emit path, under one
+  /// mutex, from whichever thread completes a request.  The reader thread
+  /// never touches them: run() unties `in` (`in.tie(nullptr)`) for its
+  /// length, because a tied stream is flushed by every read, and restores
+  /// the tie on return.  With the tie cut the caller may also unsync the
+  /// standard streams from C stdio (schedd's main does).
   int run(std::istream& in, std::ostream& out, std::ostream* trace = nullptr);
 
   /// Counters of the finished run (valid once run() returned).

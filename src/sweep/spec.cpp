@@ -121,16 +121,17 @@ std::vector<std::string> tokenize(std::string_view line) {
 }
 
 double parse_number(const std::string& text, int line_number) {
-  try {
-    std::size_t used = 0;
-    double value = std::stod(text, &used);
-    if (used != text.size()) fail(line_number, "bad number '" + text + "'");
-    return value;
-  } catch (const std::invalid_argument&) {
-    fail(line_number, "bad number '" + text + "'");
-  } catch (const std::out_of_range&) {
+  // std::stod's grammar and its error order (no number, then range, then
+  // trailing bytes), read without the C locale.
+  const ParsedReal parsed = parse_real(text);
+  if (parsed.used == 0) fail(line_number, "bad number '" + text + "'");
+  if (parsed.out_of_range) {
     fail(line_number, "number out of range '" + text + "'");
   }
+  if (parsed.used != text.size()) {
+    fail(line_number, "bad number '" + text + "'");
+  }
+  return parsed.value;
 }
 
 std::int64_t parse_integer(const std::string& text, int line_number) {

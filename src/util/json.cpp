@@ -1,9 +1,11 @@
 #include "util/json.hpp"
 
-#include <cerrno>
+#include <array>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <iterator>
 #include <stdexcept>
+#include <system_error>
 
 #include "util/require.hpp"
 #include "util/string_util.hpp"
@@ -188,35 +190,31 @@ double JsonValue::as_double() const {
 
 std::int64_t JsonValue::as_int64() const {
   if (kind_ != Kind::Number) kind_mismatch("integer", kind_name());
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(token_.c_str(), &end, 10);
-  if (errno != 0 || end == token_.c_str() || *end != '\0') {
-    throw std::invalid_argument("json: '" + token_ +
+  const ParsedInt parsed = parse_int64(text_);
+  if (parsed.out_of_range || parsed.used != text_.size()) {
+    throw std::invalid_argument("json: '" + text_ +
                                 "' is not a 64-bit integer");
   }
-  return static_cast<std::int64_t>(parsed);
+  return parsed.value;
 }
 
 std::uint64_t JsonValue::as_uint64() const {
   if (kind_ != Kind::Number) kind_mismatch("integer", kind_name());
-  errno = 0;
-  char* end = nullptr;
-  if (!token_.empty() && token_[0] == '-') {
-    throw std::invalid_argument("json: '" + token_ +
+  // The token is a JSON number: no whitespace or '+' for strtoull's
+  // grammar to differ on.
+  std::uint64_t parsed = 0;
+  const char* const end = text_.data() + text_.size();
+  const auto [stop, error] = std::from_chars(text_.data(), end, parsed);
+  if (error != std::errc() || stop != end) {
+    throw std::invalid_argument("json: '" + text_ +
                                 "' is not an unsigned integer");
   }
-  const unsigned long long parsed = std::strtoull(token_.c_str(), &end, 10);
-  if (errno != 0 || end == token_.c_str() || *end != '\0') {
-    throw std::invalid_argument("json: '" + token_ +
-                                "' is not an unsigned integer");
-  }
-  return static_cast<std::uint64_t>(parsed);
+  return parsed;
 }
 
 const std::string& JsonValue::as_string() const {
   if (kind_ != Kind::String) kind_mismatch("string", kind_name());
-  return string_;
+  return text_;
 }
 
 const std::vector<JsonValue>& JsonValue::items() const {
@@ -230,7 +228,7 @@ const std::vector<std::pair<std::string, JsonValue>>& JsonValue::members()
   return members_;
 }
 
-const JsonValue* JsonValue::find(const std::string& name) const {
+const JsonValue* JsonValue::find(std::string_view name) const {
   if (kind_ != Kind::Object) return nullptr;
   for (const auto& [key, value] : members_) {
     if (key == name) return &value;
@@ -238,65 +236,60 @@ const JsonValue* JsonValue::find(const std::string& name) const {
   return nullptr;
 }
 
-JsonValue JsonValue::make_null() { return JsonValue(); }
-
-JsonValue JsonValue::make_bool(bool flag) {
-  JsonValue v;
-  v.kind_ = Kind::Bool;
-  v.bool_ = flag;
-  return v;
-}
-
-JsonValue JsonValue::make_number(double number, std::string token) {
-  JsonValue v;
-  v.kind_ = Kind::Number;
-  v.number_ = number;
-  v.token_ = std::move(token);
-  return v;
-}
-
-JsonValue JsonValue::make_string(std::string text) {
-  JsonValue v;
-  v.kind_ = Kind::String;
-  v.string_ = std::move(text);
-  return v;
-}
-
-JsonValue JsonValue::make_array(std::vector<JsonValue> items) {
-  JsonValue v;
-  v.kind_ = Kind::Array;
-  v.items_ = std::move(items);
-  return v;
-}
-
-JsonValue JsonValue::make_object(
-    std::vector<std::pair<std::string, JsonValue>> members) {
-  JsonValue v;
-  v.kind_ = Kind::Object;
-  v.members_ = std::move(members);
-  return v;
-}
-
 // --- parse_json ------------------------------------------------------------
 
-namespace {
+namespace detail {
+
+// Deep enough for any legitimate request, shallow enough that a
+// pathological "[[[[..." line cannot overflow the parser's C++ stack.
+constexpr int kMaxDepth = 64;
+
+/// Per-depth element buffers.  A container's members or elements collect
+/// in the buffer of its depth, then move into one exact-size vector, so
+/// building a document regrows no vector.  The buffers outlive a parse
+/// (one set per thread, see parse_json) so that the next request line
+/// finds them already grown; ~JsonParser empties them and gives back
+/// whatever exceeds kRetainedBytes, so a hostile line cannot pin memory.
+struct JsonScratch {
+  static constexpr std::size_t kRetainedBytes = std::size_t{1} << 20;
+
+  std::array<std::vector<JsonValue>, kMaxDepth + 1> items;
+  std::array<std::vector<std::pair<std::string, JsonValue>>, kMaxDepth + 1>
+      members;
+
+  void reset() {
+    std::size_t kept = 0;
+    const auto reset_one = [&kept](auto& buffer) {
+      buffer.clear();
+      const std::size_t bytes = buffer.capacity() * sizeof(buffer[0]);
+      if (kept + bytes > kRetainedBytes) {
+        buffer.shrink_to_fit();
+      } else {
+        kept += bytes;
+      }
+    };
+    for (auto& buffer : items) reset_one(buffer);
+    for (auto& buffer : members) reset_one(buffer);
+  }
+};
 
 class JsonParser {
  public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
+  JsonParser(const std::string& text, JsonScratch& scratch)
+      : text_(text), scratch_(scratch) {}
+  ~JsonParser() { scratch_.reset(); }
+  JsonParser(const JsonParser&) = delete;
+  JsonParser& operator=(const JsonParser&) = delete;
 
   JsonValue parse_document() {
-    JsonValue value = parse_value(0);
+    JsonValue value;
+    parse_value(0, value);
     skip_whitespace();
     if (pos_ != text_.size()) fail("trailing content after document");
     return value;
   }
 
  private:
-  // Deep enough for any legitimate request, shallow enough that a
-  // pathological "[[[[..." line cannot overflow the parser's C++ stack.
-  static constexpr int kMaxDepth = 64;
-
   [[noreturn]] void fail(const std::string& what) const {
     throw std::invalid_argument("json: " + what + " at offset " +
                                 std::to_string(pos_));
@@ -320,50 +313,56 @@ class JsonParser {
     ++pos_;
   }
 
-  bool consume_literal(const char* literal) {
-    const std::size_t length = std::string(literal).size();
-    if (text_.compare(pos_, length, literal) != 0) return false;
-    pos_ += length;
+  bool consume_literal(std::string_view literal) {
+    if (text_.compare(pos_, literal.size(), literal) != 0) return false;
+    pos_ += literal.size();
     return true;
   }
 
-  JsonValue parse_value(int depth) {
+  // Fills `value`, a default (null) JsonValue, in place: elements and
+  // members are parsed straight into their scratch slot.
+  void parse_value(int depth, JsonValue& value) {
     if (depth > kMaxDepth) fail("nesting too deep");
     skip_whitespace();
     const char c = peek();
-    if (c == '{') return parse_object(depth);
-    if (c == '[') return parse_array(depth);
-    if (c == '"') return JsonValue::make_string(parse_string());
-    if (c == 't') {
-      if (!consume_literal("true")) fail("invalid literal");
-      return JsonValue::make_bool(true);
-    }
-    if (c == 'f') {
-      if (!consume_literal("false")) fail("invalid literal");
-      return JsonValue::make_bool(false);
-    }
-    if (c == 'n') {
+    if (c == '{') {
+      parse_object(depth, value);
+    } else if (c == '[') {
+      parse_array(depth, value);
+    } else if (c == '"') {
+      value.kind_ = JsonValue::Kind::String;
+      parse_string(value.text_);
+    } else if (c == 't' || c == 'f') {
+      if (!consume_literal(c == 't' ? "true" : "false")) {
+        fail("invalid literal");
+      }
+      value.kind_ = JsonValue::Kind::Bool;
+      value.bool_ = c == 't';
+    } else if (c == 'n') {
       if (!consume_literal("null")) fail("invalid literal");
-      return JsonValue::make_null();
+    } else if (c == '-' || (c >= '0' && c <= '9')) {
+      parse_number(value);
+    } else {
+      fail("unexpected character");
     }
-    if (c == '-' || (c >= '0' && c <= '9')) return parse_number();
-    fail("unexpected character");
   }
 
-  JsonValue parse_object(int depth) {
+  void parse_object(int depth, JsonValue& value) {
     expect('{');
-    std::vector<std::pair<std::string, JsonValue>> members;
+    value.kind_ = JsonValue::Kind::Object;
     skip_whitespace();
     if (peek() == '}') {
       ++pos_;
-      return JsonValue::make_object(std::move(members));
+      return;
     }
+    auto& members = scratch_.members[static_cast<std::size_t>(depth)];
     while (true) {
       skip_whitespace();
-      std::string name = parse_string();
+      auto& member = members.emplace_back();
+      parse_string(member.first);
       skip_whitespace();
       expect(':');
-      members.emplace_back(std::move(name), parse_value(depth + 1));
+      parse_value(depth + 1, member.second);
       skip_whitespace();
       const char c = peek();
       if (c == ',') {
@@ -372,22 +371,26 @@ class JsonParser {
       }
       if (c == '}') {
         ++pos_;
-        return JsonValue::make_object(std::move(members));
+        value.members_.assign(std::make_move_iterator(members.begin()),
+                              std::make_move_iterator(members.end()));
+        members.clear();
+        return;
       }
       fail("expected ',' or '}' in object");
     }
   }
 
-  JsonValue parse_array(int depth) {
+  void parse_array(int depth, JsonValue& value) {
     expect('[');
-    std::vector<JsonValue> items;
+    value.kind_ = JsonValue::Kind::Array;
     skip_whitespace();
     if (peek() == ']') {
       ++pos_;
-      return JsonValue::make_array(std::move(items));
+      return;
     }
+    auto& items = scratch_.items[static_cast<std::size_t>(depth)];
     while (true) {
-      items.push_back(parse_value(depth + 1));
+      parse_value(depth + 1, items.emplace_back());
       skip_whitespace();
       const char c = peek();
       if (c == ',') {
@@ -396,30 +399,36 @@ class JsonParser {
       }
       if (c == ']') {
         ++pos_;
-        return JsonValue::make_array(std::move(items));
+        value.items_.assign(std::make_move_iterator(items.begin()),
+                            std::make_move_iterator(items.end()));
+        items.clear();
+        return;
       }
       fail("expected ',' or ']' in array");
     }
   }
 
-  std::string parse_string() {
+  void parse_string(std::string& out) {
     if (peek() != '"') fail("expected string");
     ++pos_;
-    std::string out;
     while (true) {
+      // Bytes that need no decoding are copied a run at a time.
+      std::size_t run_end = pos_;
+      while (run_end < text_.size()) {
+        const unsigned char c = static_cast<unsigned char>(text_[run_end]);
+        if (c == '"' || c == '\\' || c < 0x20) break;
+        ++run_end;
+      }
+      out.append(text_, pos_, run_end - pos_);
+      pos_ = run_end;
       if (pos_ >= text_.size()) fail("unterminated string");
       const unsigned char c = static_cast<unsigned char>(text_[pos_]);
       if (c == '"') {
         ++pos_;
-        return out;
+        return;
       }
       if (c < 0x20) fail("unescaped control character in string");
-      if (c != '\\') {
-        out += static_cast<char>(c);
-        ++pos_;
-        continue;
-      }
-      ++pos_;
+      ++pos_;  // the backslash
       const char esc = peek();
       ++pos_;
       switch (esc) {
@@ -479,7 +488,7 @@ class JsonParser {
     }
   }
 
-  JsonValue parse_number() {
+  void parse_number(JsonValue& value) {
     const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
     if (peek() == '0') {
@@ -506,21 +515,24 @@ class JsonParser {
       while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9')
         ++pos_;
     }
-    const std::string token = text_.substr(start, pos_ - start);
-    errno = 0;
-    const double number = std::strtod(token.c_str(), nullptr);
-    if (errno == ERANGE) fail("number out of range");
-    return JsonValue::make_number(number, token);
+    value.kind_ = JsonValue::Kind::Number;
+    value.text_.assign(text_, start, pos_ - start);
+    // Locale-free, and strict about range exactly where strtod is.
+    const ParsedReal parsed = parse_real(value.text_);
+    if (parsed.out_of_range) fail("number out of range");
+    value.number_ = parsed.value;
   }
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  JsonScratch& scratch_;
 };
 
-}  // namespace
+}  // namespace detail
 
 JsonValue parse_json(const std::string& text) {
-  return JsonParser(text).parse_document();
+  static thread_local detail::JsonScratch scratch;
+  return detail::JsonParser(text, scratch).parse_document();
 }
 
 }  // namespace dagsched

@@ -14,9 +14,14 @@
 // JsonValue/parse_json is the read side: a small recursive-descent parser
 // into an ordered document tree, strict (no trailing commas, no comments,
 // no NaN/Infinity) because schedd parses untrusted request lines with it.
+// It sits on schedd's serial reader, so it is also lean: numbers convert
+// with std::from_chars (locale-free, via parse_real/parse_int64 in
+// util/string_util), unescaped string bytes are copied a run at a time,
+// and arrays and objects are built into exact-size vectors.
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -84,6 +89,10 @@ class JsonWriter {
   bool pending_key_ = false;
 };
 
+namespace detail {
+class JsonParser;
+}  // namespace detail
+
 /// Parsed JSON document node.  Objects keep their members in document
 /// order; numbers keep the raw token alongside the double so integers up
 /// to 64 bits round-trip exactly (as_int64/as_uint64 re-parse the token).
@@ -107,25 +116,17 @@ class JsonValue {
   const std::vector<std::pair<std::string, JsonValue>>& members() const;
 
   /// Object member lookup; nullptr when absent (or not an object).
-  const JsonValue* find(const std::string& name) const;
-
-  // Construction surface used by the parser (and tests building fixtures).
-  static JsonValue make_null();
-  static JsonValue make_bool(bool flag);
-  static JsonValue make_number(double number, std::string token);
-  static JsonValue make_string(std::string text);
-  static JsonValue make_array(std::vector<JsonValue> items);
-  static JsonValue make_object(
-      std::vector<std::pair<std::string, JsonValue>> members);
+  const JsonValue* find(std::string_view name) const;
 
  private:
+  friend class detail::JsonParser;
+
   const char* kind_name() const;
 
   Kind kind_ = Kind::Null;
   bool bool_ = false;
   double number_ = 0.0;
-  std::string token_;  // raw number token, exact-integer re-parses
-  std::string string_;
+  std::string text_;  // a string's text, or a number's raw token
   std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> members_;
 };

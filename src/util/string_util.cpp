@@ -1,9 +1,12 @@
 #include "util/string_util.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <clocale>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <system_error>
 
 #include "util/require.hpp"
 #include "util/time.hpp"
@@ -31,6 +34,108 @@ std::string format_fixed(double value, int decimals) {
     return out;
   }
   return buffer;
+}
+
+namespace {
+
+bool is_c_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+bool is_hex_digit(char c) {
+  return (c >= '0' && c <= '9') || ((c | 0x20) >= 'a' && (c | 0x20) <= 'f');
+}
+
+/// Whether `number`, a finite token std::from_chars found out of range,
+/// is too large rather than too small: its leading nonzero digit's place
+/// (in decimal or hex digits) plus its exponent is positive.
+bool overflows(std::string_view number, bool hex) {
+  std::int64_t place = 0;
+  bool after_point = false;
+  bool leading = true;
+  std::size_t i = 0;
+  for (; i < number.size() && (number[i] | 0x20) != (hex ? 'p' : 'e'); ++i) {
+    if (number[i] == '.') {
+      after_point = true;
+    } else if (leading && number[i] == '0') {
+      if (after_point) --place;
+    } else {
+      leading = false;
+      if (!after_point) ++place;
+    }
+  }
+  std::int64_t exponent = 0;
+  if (i + 1 < number.size()) {
+    const std::size_t sign = number[i + 1] == '+' ? i + 2 : i + 1;
+    const char* const end = number.data() + number.size();
+    if (std::from_chars(number.data() + sign, end, exponent).ec !=
+        std::errc()) {
+      exponent = number[i + 1] == '-' ? std::numeric_limits<int>::min()
+                                      : std::numeric_limits<int>::max();
+    }
+  }
+  return (hex ? 4 * place : place) + exponent > 0;
+}
+
+}  // namespace
+
+ParsedReal parse_real(std::string_view text) {
+  ParsedReal result;
+  std::size_t i = 0;
+  while (i < text.size() && is_c_space(text[i])) ++i;
+  bool negative = false;
+  if (i < text.size() && (text[i] == '+' || text[i] == '-')) {
+    negative = text[i] == '-';
+    ++i;
+  }
+  // std::from_chars takes neither a sign of its own here nor strtod's
+  // "0x" prefix: it reads hex digits when told the format.
+  const std::string_view rest = text.substr(i);
+  const bool hex =
+      rest.size() > 2 && rest[0] == '0' && (rest[1] | 0x20) == 'x' &&
+      (is_hex_digit(rest[2]) ||
+       (rest[2] == '.' && rest.size() > 3 && is_hex_digit(rest[3])));
+  const std::string_view body = rest.substr(hex ? 2 : 0);
+  if (body.empty() || body[0] == '+' || body[0] == '-') return result;
+  double value = 0.0;
+  const auto [end, error] =
+      std::from_chars(body.data(), body.data() + body.size(), value,
+                      hex ? std::chars_format::hex
+                          : std::chars_format::general);
+  if (end == body.data()) return result;
+  const std::string_view number = body.substr(0, end - body.data());
+  result.used = static_cast<std::size_t>(end - text.data());
+  if (error == std::errc::result_out_of_range) {
+    // from_chars leaves `value` alone; strtod returns infinity or zero.
+    result.out_of_range = true;
+    value = overflows(number, hex) ? std::numeric_limits<double>::infinity()
+                                   : 0.0;
+  } else if (value != 0.0 && value < std::numeric_limits<double>::min()) {
+    result.out_of_range = true;  // a subnormal, as strtod's ERANGE
+  }
+  result.value = negative ? -value : value;
+  return result;
+}
+
+ParsedInt parse_int64(std::string_view text) {
+  ParsedInt result;
+  std::size_t i = 0;
+  while (i < text.size() && is_c_space(text[i])) ++i;
+  // std::from_chars reads a '-' itself but not strtoll's '+'.
+  if (i < text.size() && text[i] == '+') {
+    ++i;
+    if (i < text.size() && text[i] == '-') return result;
+  }
+  const bool negative = i < text.size() && text[i] == '-';
+  const auto [end, error] =
+      std::from_chars(text.data() + i, text.data() + text.size(),
+                      result.value);
+  if (end == text.data() + i) return result;
+  result.used = static_cast<std::size_t>(end - text.data());
+  if (error == std::errc::result_out_of_range) {
+    result.out_of_range = true;
+    result.value = negative ? std::numeric_limits<std::int64_t>::min()
+                            : std::numeric_limits<std::int64_t>::max();
+  }
+  return result;
 }
 
 std::string format_percent(double fraction_times_100, int decimals) {

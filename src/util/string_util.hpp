@@ -1,7 +1,10 @@
 #pragma once
 
-// String helpers shared by the table/CSV writers and the serializers.
+// String helpers shared by the table/CSV writers, the serializers and the
+// number readers of the request path.
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -10,6 +13,31 @@ namespace dagsched {
 
 /// Formats a double with `decimals` fixed digits (locale-independent).
 std::string format_fixed(double value, int decimals);
+
+/// What std::strtod reports for the longest number at the start of
+/// `text`, read without the C locale: leading C whitespace, an optional
+/// sign, then a decimal or "0x" hexadecimal float, "inf"/"infinity" or
+/// "nan", rounded correctly by std::from_chars.  `out_of_range` is set
+/// where strtod sets ERANGE: on overflow (`value` is infinite), on
+/// underflow to zero (`value` is zero), and on a subnormal result.
+/// Unlike glibc, it is also set for a subnormal that is exact (a hex
+/// token, or a decimal one of ~750 digits) and not for a decimal just
+/// below DBL_MIN that rounds up to it.
+struct ParsedReal {
+  double value = 0.0;
+  std::size_t used = 0;  ///< bytes consumed; 0 when no number starts here
+  bool out_of_range = false;
+};
+ParsedReal parse_real(std::string_view text);
+
+/// The same for std::strtoll in base 10: leading C whitespace, an
+/// optional sign, digits.  On overflow `value` saturates like strtoll.
+struct ParsedInt {
+  std::int64_t value = 0;
+  std::size_t used = 0;  ///< bytes consumed; 0 when no number starts here
+  bool out_of_range = false;
+};
+ParsedInt parse_int64(std::string_view text);
 
 /// Formats a percentage with `decimals` digits and a trailing '%'.
 std::string format_percent(double fraction_times_100, int decimals = 1);

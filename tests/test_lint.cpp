@@ -143,6 +143,8 @@ INSTANTIATE_TEST_SUITE_P(
                       FixtureCase{"float_format_allowed.cpp", false},
                       FixtureCase{"bare_assert_bad.cpp", true},
                       FixtureCase{"bare_assert_allowed.cpp", false},
+                      FixtureCase{"locale_number_bad.cpp", true},
+                      FixtureCase{"locale_number_allowed.cpp", false},
                       FixtureCase{"lint_allow_bad.cpp", true}),
     [](const ::testing::TestParamInfo<FixtureCase>& info) {
       std::string name = info.param.name;
@@ -234,7 +236,7 @@ TEST(LintSuppress, AllowOnSameLineAndLineAbove) {
 TEST(LintCli, KnownChecksAreStable) {
   const std::vector<std::string> expected = {
       "wall-clock", "unordered-iter", "rng-stream", "float-format",
-      "bare-assert"};
+      "bare-assert", "locale-number"};
   EXPECT_EQ(dagsched::lint::known_checks(), expected);
 }
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -115,6 +118,80 @@ TEST(PolicyRegistry, MistypedConfigValuesRejected) {
   EXPECT_THROW(config.set_int("nope", 1), std::invalid_argument);
   EXPECT_THROW(config.set_real("nope", 1.0), std::invalid_argument);
   EXPECT_THROW(config.set_string("nope", "x"), std::invalid_argument);
+}
+
+// Config values arrive in every schedd policy call (`sa(wb=0.5)`).  This
+// table pins the forms std::stod/std::stoll accepted, which the
+// locale-free readers keep: leading whitespace, a '+', and for reals
+// "inf", "nan" and hex floats; out-of-range values and trailing bytes are
+// rejected.
+TEST(PolicyRegistry, ConfigNumbersKeepTheirAcceptedForms) {
+  struct RealRow {
+    const char* text;
+    bool accepted;
+    double value;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const RealRow real_rows[] = {
+      {"0.25", true, 0.25},   {"+0.5", true, 0.5},    {" 0.5", true, 0.5},
+      {"\t\n0.5", true, 0.5}, {".5", true, 0.5},      {"5.", true, 5.0},
+      {"-0.5", true, -0.5},   {"1e2", true, 100.0},   {"0x10", true, 16.0},
+      {"0X1p-2", true, 0.25}, {"inf", true, inf},     {"-Infinity", true, -inf},
+      {"1e400", false, 0.0},  {"-1e400", false, 0.0}, {"1e-310", false, 0.0},
+      {"1e-400", false, 0.0}, {"0.5 ", false, 0.0},   {"1,5", false, 0.0},
+      {"", false, 0.0},       {"+-1", false, 0.0},    {"0x", false, 0.0},
+      {"heavy", false, 0.0},
+  };
+  for (const RealRow& row : real_rows) {
+    PolicyConfig config = PolicyRegistry::instance().make_config("sa");
+    if (!row.accepted) {
+      EXPECT_EQ(thrown_message([&] { config.set("wb", row.text); }),
+                std::string("policy 'sa': config key 'wb' takes a real "
+                            "number, got '") +
+                    row.text + "'");
+      continue;
+    }
+    config.set("wb", row.text);
+    EXPECT_EQ(config.get_real("wb"), row.value) << "'" << row.text << "'";
+  }
+  PolicyConfig nan_config = PolicyRegistry::instance().make_config("sa");
+  nan_config.set("wb", "nan");
+  EXPECT_TRUE(std::isnan(nan_config.get_real("wb")));
+
+  struct IntRow {
+    const char* text;
+    bool accepted;
+    std::int64_t value;
+  };
+  const IntRow int_rows[] = {
+      {"8", true, 8},
+      {"+8", true, 8},
+      {" 8", true, 8},
+      {"-3", true, -3},
+      {"007", true, 7},
+      {"9223372036854775807", true, std::numeric_limits<std::int64_t>::max()},
+      {"-9223372036854775808", true, std::numeric_limits<std::int64_t>::min()},
+      {"9223372036854775808", false, 0},
+      {"0x10", false, 0},
+      {"1e3", false, 0},
+      {"2.5", false, 0},
+      {"8 ", false, 0},
+      {"+-8", false, 0},
+      {"inf", false, 0},
+      {"", false, 0},
+  };
+  for (const IntRow& row : int_rows) {
+    PolicyConfig config = PolicyRegistry::instance().make_config("gsa");
+    if (!row.accepted) {
+      EXPECT_EQ(thrown_message([&] { config.set("chains", row.text); }),
+                std::string("policy 'gsa': config key 'chains' takes an "
+                            "integer, got '") +
+                    row.text + "'");
+      continue;
+    }
+    config.set("chains", row.text);
+    EXPECT_EQ(config.get_int("chains"), row.value) << "'" << row.text << "'";
+  }
 }
 
 TEST(PolicyRegistry, SemanticallyInvalidValuesRejectedByFactories) {

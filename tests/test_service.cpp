@@ -10,8 +10,11 @@
 #include <cstdint>
 #include <numeric>
 #include <set>
+#include <istream>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -991,6 +994,56 @@ TEST(ScheddTest, MultiWorkerStillEmitsInRequestOrder) {
               std::string::npos)
         << "responses must come back in request order";
   }
+}
+
+/// An input buffer that hands out one byte per read and records, on each
+/// read, what its stream is tied to.
+class TieRecordingBuffer : public std::streambuf {
+ public:
+  explicit TieRecordingBuffer(std::string text) : text_(std::move(text)) {}
+
+  void watch(const std::istream* stream) { stream_ = stream; }
+  const std::vector<std::ostream*>& ties_seen() const { return ties_seen_; }
+
+ protected:
+  int_type underflow() override {
+    ties_seen_.push_back(stream_->tie());
+    if (next_ >= text_.size()) return traits_type::eof();
+    char* byte = &text_[next_++];
+    setg(byte, byte, byte + 1);
+    return traits_type::to_int_type(*byte);
+  }
+
+ private:
+  std::string text_;
+  std::size_t next_ = 0;
+  const std::istream* stream_ = nullptr;
+  std::vector<std::ostream*> ties_seen_;
+};
+
+// A tied input stream flushes its tie on every read, from the reader
+// thread; the daemon's output belongs to the emit path alone.
+TEST(Schedd, RunUntiesAndRestoresInputTie) {
+  TieRecordingBuffer buffer(
+      "{\"id\":\"a\",\"graph\":{\"durations_us\":[10]}}\n"
+      "{\"op\":\"stats\",\"id\":\"s\"}\n");
+  std::istream in(&buffer);
+  buffer.watch(&in);
+  std::ostringstream tied_to;
+  in.tie(&tied_to);
+
+  service::ScheddOptions options;
+  options.max_in_flight = 2;
+  service::Schedd daemon(options);
+  std::ostringstream out;
+  EXPECT_EQ(daemon.run(in, out), 0);
+
+  ASSERT_FALSE(buffer.ties_seen().empty());
+  for (const std::ostream* tie : buffer.ties_seen()) {
+    EXPECT_EQ(tie, nullptr) << "the input was still tied during the run";
+  }
+  EXPECT_EQ(in.tie(), &tied_to) << "run() must restore the caller's tie";
+  EXPECT_EQ(lines_of(out.str()).size(), 2u);
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "graph/taskgraph.hpp"
 #include "sweep/params.hpp"
@@ -237,6 +239,39 @@ TEST(SweepSpec, RejectsBadOracleAndBudget) {
                std::invalid_argument);
   EXPECT_THROW(sweep::parse_spec("time_budget_ms -5\n"),
                std::invalid_argument);
+}
+
+// Spec numbers keep the forms std::stod accepted, read without the C
+// locale: a '+', hex floats and "inf" parse; range errors and trailing
+// bytes keep their own messages.
+TEST(SweepSpec, NumberFieldsKeepTheirAcceptedForms) {
+  const std::string prefix =
+      "family gnp count=1\npolicy hlf\ntopology hypercube8\n";
+  const auto budget = [&](const std::string& text) {
+    return sweep::parse_spec(prefix + "time_budget_ms " + text + "\n")
+        .time_budget_ms;
+  };
+  EXPECT_EQ(budget("+2.5"), 2.5);
+  EXPECT_EQ(budget("0x10"), 16.0);
+  EXPECT_EQ(budget(".5e1"), 5.0);
+  EXPECT_EQ(budget("inf"), std::numeric_limits<double>::infinity());
+  const auto message = [&](const std::string& text) {
+    try {
+      budget(text);
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message("1e400"), "sweep spec line 4: number out of range '1e400'");
+  EXPECT_EQ(message("1e-310"),
+            "sweep spec line 4: number out of range '1e-310'");
+  EXPECT_EQ(message("1e400x"),
+            "sweep spec line 4: number out of range '1e400x'");
+  EXPECT_EQ(message("2.5ms"), "sweep spec line 4: bad number '2.5ms'");
+  EXPECT_EQ(message("1,5"), "sweep spec line 4: bad number '1,5'");
+  EXPECT_EQ(message("x"), "sweep spec line 4: bad number 'x'");
+  EXPECT_EQ(message("-0x1"), "sweep spec line 4: time_budget_ms must be >= 0");
 }
 
 TEST(SweepRunner, OracleChoiceNeverChangesResults) {

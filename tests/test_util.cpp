@@ -2,16 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <clocale>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <span>
 #include <sstream>
 #include <vector>
 
 #include "util/csv.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
@@ -522,6 +527,629 @@ TEST(JsonParse, UnicodeEscapesAndErrors) {
   EXPECT_THROW(parse_json("\"5\"").as_int64(), std::invalid_argument);
   EXPECT_THROW(parse_json("1.5").as_int64(), std::invalid_argument);
   EXPECT_THROW(parse_json("-1").as_uint64(), std::invalid_argument);
+}
+
+// parse_real/parse_int64 are strtod/strtoll without the locale: same
+// bytes consumed, same ERANGE, same value.  glibc is the reference (the
+// test binary runs in the "C" locale); the two places parse_real departs
+// from it on purpose are pinned in NumberReadersDepartFromGlibcAtDblMin.
+void expect_same_as_strtod(const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  const double want = std::strtod(text.c_str(), &end);
+  const bool want_range = errno == ERANGE;
+  const auto want_used = static_cast<std::size_t>(end - text.c_str());
+  const ParsedReal got = parse_real(text);
+  ASSERT_EQ(got.used, want_used) << "'" << text << "'";
+  if (want_used == 0) return;
+  EXPECT_EQ(got.out_of_range, want_range) << "'" << text << "'";
+  // glibc's hex path misrounds some inexact subnormals (it gives
+  // 0x0.e24381e92bfa4p-1022 for 0x7121c0f495fd26p-1077, where correct
+  // rounding gives ...fa5); from_chars rounds correctly.  Both report
+  // ERANGE on a subnormal, so callers never see the value.
+  if (!(want_range && got.value != 0.0 &&
+        std::fabs(got.value) < std::numeric_limits<double>::min())) {
+    EXPECT_TRUE(std::memcmp(&want, &got.value, sizeof want) == 0 ||
+                (std::isnan(want) && std::isnan(got.value)))
+        << "'" << text << "': " << want << " vs " << got.value;
+  }
+
+  errno = 0;
+  const long long want_int = std::strtoll(text.c_str(), &end, 10);
+  const ParsedInt got_int = parse_int64(text);
+  ASSERT_EQ(got_int.used, static_cast<std::size_t>(end - text.c_str()))
+      << "'" << text << "'";
+  if (got_int.used == 0) return;
+  EXPECT_EQ(got_int.out_of_range, errno == ERANGE) << "'" << text << "'";
+  EXPECT_EQ(got_int.value, want_int) << "'" << text << "'";
+}
+
+TEST(StringUtil, NumberReadersMatchStrtodAndStrtoll) {
+  const char* const fixed[] = {
+      "", " ", "+", "-", "+-1", "-+1", " \t\n\v\f\r5", "+0.5", "-0", "0.0",
+      "1e", "1e+", "1.", ".5", ".", "-.5e3", "inf", "-INF", "Infinity",
+      "infinit", "nan", "NaN(123)", "nan(", "0x10", "0X1P4", "0x", "0x.",
+      "0x.8", "0xg", "0x-5", "0x1.8p-1074", "0x1p-1075",
+      "0x1.0000000000001p-1075", "0x1.fffffffffffff8p-1023", "0x1.fffffffffffff9p-1023", "0x1p1024",
+      "0x1.fffffffffffff8p1023", "1e400", "-1e400", "1e-400", "-1e-400",
+      "4.9e-324", "1e-310", "2.2250738585072011e-308",
+      "2.2250738585072013e-308", "2.2250738585072014e-308",
+      "1.7976931348623158e308", "1.7976931348623159e308",
+      "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+      "-9223372036854775809", "01", "0e-99999999999999999999",
+      "1e-99999999999999999999", "0.00000000000000001e-300", "12abc", "1,5"};
+  for (const char* text : fixed) expect_same_as_strtod(text);
+
+  // Random tokens: short decimal subnormals and ordinary magnitudes.
+  Rng rng = Rng::stream(20261017, 3);
+  char buffer[64];
+  for (int i = 0; i < 300; ++i) {
+    const std::uint64_t bits = rng.next_u64() & ((std::uint64_t{1} << 52) - 1);
+    double tiny = 0.0;
+    std::memcpy(&tiny, &bits, sizeof tiny);
+    std::snprintf(buffer, sizeof buffer, "%.*e",
+                  static_cast<int>(rng.uniform_int(0, 25)), tiny);
+    expect_same_as_strtod(buffer);
+    std::snprintf(buffer, sizeof buffer, "%.*e",
+                  static_cast<int>(rng.uniform_int(0, 19)),
+                  std::ldexp(static_cast<double>(rng.next_u64()),
+                             static_cast<int>(rng.uniform_int(-1100, 1000))));
+    expect_same_as_strtod(buffer);
+    expect_same_as_strtod(
+        std::to_string(static_cast<std::int64_t>(rng.next_u64())));
+  }
+}
+
+// Any nonzero result below DBL_MIN is out of range, exact or not, and
+// DBL_MIN is not, however it was reached.  glibc differs on exact
+// subnormals (no ERANGE) and on decimals that round up to DBL_MIN from
+// below the midpoint of DBL_MIN and its 53-bit lower neighbour (ERANGE);
+// no request carries either.
+TEST(StringUtil, NumberReadersDepartFromGlibcAtDblMin) {
+  const double dbl_min = std::numeric_limits<double>::min();
+  const struct {
+    const char* text;
+    double value;
+    bool out_of_range;
+  } cases[] = {
+      {"0x1p-1074", std::numeric_limits<double>::denorm_min(), true},
+      {"0x0.fffffffffffffp-1022", dbl_min - 0x1p-1074, true},
+      {"0x1.fffffffffffff7p-1023", dbl_min, false},
+      {"2.2250738585072012e-308", dbl_min, false},
+  };
+  for (const auto& c : cases) {
+    const ParsedReal got = parse_real(c.text);
+    EXPECT_EQ(got.used, std::strlen(c.text)) << c.text;
+    EXPECT_EQ(got.value, c.value) << c.text;
+    EXPECT_EQ(got.out_of_range, c.out_of_range) << c.text;
+  }
+  // The value of an out-of-range token is strtod's: infinity or zero,
+  // judged by the leading digit's place and the exponent together.
+  EXPECT_EQ(parse_real("1" + std::string(400, '0') + "e-10").value,
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(parse_real("0." + std::string(400, '0') + "1e10").value, 0.0);
+  EXPECT_EQ(parse_real("-100000000000000000000e-345").value, -0.0);
+  EXPECT_TRUE(std::signbit(parse_real("-100000000000000000000e-345").value));
+  EXPECT_EQ(parse_real("0x100p-1090").value, 0.0);
+  EXPECT_EQ(parse_real("0x0.01p1040").value,
+            std::numeric_limits<double>::infinity());
+}
+
+// --- parse_json vs the strtod parser it replaced ---------------------------
+
+// A test-local copy of the parser as it was before numbers moved to
+// std::from_chars: strtod/strtoll/strtoull, a std::string per token, one
+// char appended at a time.  The differential tests below require the
+// current parser to agree with it on kind, numeric accessors and error
+// text.
+namespace reference {
+
+struct Value {
+  JsonValue::Kind kind = JsonValue::Kind::Null;
+  bool flag = false;
+  double number = 0.0;
+  std::string token;
+  std::string text;
+  std::vector<Value> items;
+  std::vector<std::pair<std::string, Value>> members;
+
+  std::int64_t as_int64() const {
+    errno = 0;
+    char* end = nullptr;
+    const long long parsed = std::strtoll(token.c_str(), &end, 10);
+    if (errno != 0 || end == token.c_str() || *end != '\0') {
+      throw std::invalid_argument("json: '" + token +
+                                  "' is not a 64-bit integer");
+    }
+    return parsed;
+  }
+
+  std::uint64_t as_uint64() const {
+    errno = 0;
+    char* end = nullptr;
+    if (!token.empty() && token[0] == '-') {
+      throw std::invalid_argument("json: '" + token +
+                                  "' is not an unsigned integer");
+    }
+    const unsigned long long parsed = std::strtoull(token.c_str(), &end, 10);
+    if (errno != 0 || end == token.c_str() || *end != '\0') {
+      throw std::invalid_argument("json: '" + token +
+                                  "' is not an unsigned integer");
+    }
+    return parsed;
+  }
+};
+
+class Parser {
+ public:
+  explicit Parser(const std::string& text) : text_(text) {}
+
+  Value parse_document() {
+    Value value = parse_value(0);
+    skip_whitespace();
+    if (pos_ != text_.size()) fail("trailing content after document");
+    return value;
+  }
+
+ private:
+  [[noreturn]] void fail(const std::string& what) const {
+    throw std::invalid_argument("json: " + what + " at offset " +
+                                std::to_string(pos_));
+  }
+  void skip_whitespace() {
+    while (pos_ < text_.size() &&
+           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+            text_[pos_] == '\n' || text_[pos_] == '\r')) {
+      ++pos_;
+    }
+  }
+  char peek() {
+    if (pos_ >= text_.size()) fail("unexpected end of input");
+    return text_[pos_];
+  }
+  void expect(char c) {
+    if (peek() != c) fail(std::string("expected '") + c + "'");
+    ++pos_;
+  }
+  bool consume_literal(const std::string& literal) {
+    if (text_.compare(pos_, literal.size(), literal) != 0) return false;
+    pos_ += literal.size();
+    return true;
+  }
+  Value parse_value(int depth) {
+    if (depth > 64) fail("nesting too deep");
+    skip_whitespace();
+    const char c = peek();
+    Value value;
+    if (c == '{') return parse_object(depth);
+    if (c == '[') return parse_array(depth);
+    if (c == '"') {
+      value.kind = JsonValue::Kind::String;
+      value.text = parse_string();
+      return value;
+    }
+    if (c == 't' || c == 'f') {
+      if (!consume_literal(c == 't' ? "true" : "false")) {
+        fail("invalid literal");
+      }
+      value.kind = JsonValue::Kind::Bool;
+      value.flag = c == 't';
+      return value;
+    }
+    if (c == 'n') {
+      if (!consume_literal("null")) fail("invalid literal");
+      return value;
+    }
+    if (c == '-' || (c >= '0' && c <= '9')) return parse_number();
+    fail("unexpected character");
+  }
+  Value parse_object(int depth) {
+    expect('{');
+    Value value;
+    value.kind = JsonValue::Kind::Object;
+    skip_whitespace();
+    if (peek() == '}') {
+      ++pos_;
+      return value;
+    }
+    while (true) {
+      skip_whitespace();
+      std::string name = parse_string();
+      skip_whitespace();
+      expect(':');
+      value.members.emplace_back(std::move(name), parse_value(depth + 1));
+      skip_whitespace();
+      const char c = peek();
+      if (c == ',') {
+        ++pos_;
+        continue;
+      }
+      if (c == '}') {
+        ++pos_;
+        return value;
+      }
+      fail("expected ',' or '}' in object");
+    }
+  }
+  Value parse_array(int depth) {
+    expect('[');
+    Value value;
+    value.kind = JsonValue::Kind::Array;
+    skip_whitespace();
+    if (peek() == ']') {
+      ++pos_;
+      return value;
+    }
+    while (true) {
+      value.items.push_back(parse_value(depth + 1));
+      skip_whitespace();
+      const char c = peek();
+      if (c == ',') {
+        ++pos_;
+        continue;
+      }
+      if (c == ']') {
+        ++pos_;
+        return value;
+      }
+      fail("expected ',' or ']' in array");
+    }
+  }
+  std::string parse_string() {
+    if (peek() != '"') fail("expected string");
+    ++pos_;
+    std::string out;
+    while (true) {
+      if (pos_ >= text_.size()) fail("unterminated string");
+      const unsigned char c = static_cast<unsigned char>(text_[pos_]);
+      if (c == '"') {
+        ++pos_;
+        return out;
+      }
+      if (c < 0x20) fail("unescaped control character in string");
+      if (c != '\\') {
+        out += static_cast<char>(c);
+        ++pos_;
+        continue;
+      }
+      ++pos_;
+      const char esc = peek();
+      ++pos_;
+      switch (esc) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'n': out += '\n'; break;
+        case 'r': out += '\r'; break;
+        case 't': out += '\t'; break;
+        case 'u': append_unicode_escape(out); break;
+        default: --pos_; fail("invalid escape");
+      }
+    }
+  }
+  unsigned parse_hex4() {
+    unsigned code = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char c = peek();
+      ++pos_;
+      code <<= 4;
+      if (c >= '0' && c <= '9') code |= static_cast<unsigned>(c - '0');
+      else if (c >= 'a' && c <= 'f') code |= static_cast<unsigned>(c - 'a' + 10);
+      else if (c >= 'A' && c <= 'F') code |= static_cast<unsigned>(c - 'A' + 10);
+      else { --pos_; fail("invalid \\u escape"); }
+    }
+    return code;
+  }
+  void append_unicode_escape(std::string& out) {
+    unsigned code = parse_hex4();
+    if (code >= 0xd800 && code <= 0xdbff) {
+      if (!consume_literal("\\u")) fail("unpaired surrogate");
+      const unsigned low = parse_hex4();
+      if (low < 0xdc00 || low > 0xdfff) fail("unpaired surrogate");
+      code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+    } else if (code >= 0xdc00 && code <= 0xdfff) {
+      fail("unpaired surrogate");
+    }
+    if (code < 0x80) {
+      out += static_cast<char>(code);
+    } else if (code < 0x800) {
+      out += static_cast<char>(0xc0 | (code >> 6));
+      out += static_cast<char>(0x80 | (code & 0x3f));
+    } else if (code < 0x10000) {
+      out += static_cast<char>(0xe0 | (code >> 12));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+      out += static_cast<char>(0x80 | (code & 0x3f));
+    } else {
+      out += static_cast<char>(0xf0 | (code >> 18));
+      out += static_cast<char>(0x80 | ((code >> 12) & 0x3f));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+      out += static_cast<char>(0x80 | (code & 0x3f));
+    }
+  }
+  bool digit_at(std::size_t at) const {
+    return at < text_.size() && text_[at] >= '0' && text_[at] <= '9';
+  }
+  Value parse_number() {
+    const std::size_t start = pos_;
+    if (peek() == '-') ++pos_;
+    if (peek() == '0') {
+      ++pos_;
+    } else if (peek() >= '1' && peek() <= '9') {
+      while (digit_at(pos_)) ++pos_;
+    } else {
+      fail("invalid number");
+    }
+    if (pos_ < text_.size() && text_[pos_] == '.') {
+      ++pos_;
+      if (!digit_at(pos_)) fail("invalid number");
+      while (digit_at(pos_)) ++pos_;
+    }
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
+        ++pos_;
+      if (!digit_at(pos_)) fail("invalid number");
+      while (digit_at(pos_)) ++pos_;
+    }
+    Value value;
+    value.kind = JsonValue::Kind::Number;
+    value.token = text_.substr(start, pos_ - start);
+    errno = 0;
+    value.number = std::strtod(value.token.c_str(), nullptr);
+    if (errno == ERANGE) fail("number out of range");
+    return value;
+  }
+
+  const std::string& text_;
+  std::size_t pos_ = 0;
+};
+
+}  // namespace reference
+
+/// "ok:<value>" or "error:<message>" of an accessor call.
+template <typename Fn>
+std::string outcome_of(Fn&& fn) {
+  try {
+    return "ok:" + std::to_string(fn());
+  } catch (const std::invalid_argument& error) {
+    return std::string("error:") + error.what();
+  }
+}
+
+void expect_same_tree(const reference::Value& want, const JsonValue& got,
+                      const std::string& where) {
+  ASSERT_EQ(static_cast<int>(want.kind), static_cast<int>(got.kind()))
+      << where;
+  switch (want.kind) {
+    case JsonValue::Kind::Null:
+      break;
+    case JsonValue::Kind::Bool:
+      EXPECT_EQ(want.flag, got.as_bool()) << where;
+      break;
+    case JsonValue::Kind::Number: {
+      // Bitwise, so -0 and the last ulp count.
+      const double number = got.as_double();
+      EXPECT_EQ(std::memcmp(&want.number, &number, sizeof number), 0)
+          << where << ": " << want.token;
+      EXPECT_EQ(outcome_of([&] { return want.as_int64(); }),
+                outcome_of([&] { return got.as_int64(); }))
+          << where;
+      EXPECT_EQ(outcome_of([&] { return want.as_uint64(); }),
+                outcome_of([&] { return got.as_uint64(); }))
+          << where;
+      break;
+    }
+    case JsonValue::Kind::String:
+      EXPECT_EQ(want.text, got.as_string()) << where;
+      break;
+    case JsonValue::Kind::Array:
+      ASSERT_EQ(want.items.size(), got.items().size()) << where;
+      for (std::size_t i = 0; i < want.items.size(); ++i) {
+        expect_same_tree(want.items[i], got.items()[i],
+                         where + "[" + std::to_string(i) + "]");
+      }
+      break;
+    case JsonValue::Kind::Object:
+      ASSERT_EQ(want.members.size(), got.members().size()) << where;
+      for (std::size_t i = 0; i < want.members.size(); ++i) {
+        EXPECT_EQ(want.members[i].first, got.members()[i].first) << where;
+        expect_same_tree(want.members[i].second, got.members()[i].second,
+                         where + "." + want.members[i].first);
+      }
+      break;
+  }
+}
+
+/// Parses `text` with both parsers and requires the same tree or the same
+/// error text.
+void expect_same_parse(const std::string& text) {
+  std::string want_error;
+  std::string got_error;
+  reference::Value want;
+  JsonValue got;
+  try {
+    want = reference::Parser(text).parse_document();
+  } catch (const std::invalid_argument& error) {
+    want_error = error.what();
+  }
+  try {
+    got = parse_json(text);
+  } catch (const std::invalid_argument& error) {
+    got_error = error.what();
+  }
+  ASSERT_EQ(want_error, got_error) << "input: " << text;
+  if (want_error.empty()) expect_same_tree(want, got, text.substr(0, 60));
+}
+
+/// A real-number token of a random shape: integers, fractions, exponents,
+/// and 17-digit mantissas reaching into the subnormal and overflow ranges.
+std::string random_real_token(Rng& rng) {
+  switch (rng.uniform_int(0, 5)) {
+    case 0:
+      return std::to_string(rng.uniform_int(0, 100000));
+    case 1:
+      return std::to_string(rng.uniform_int(0, 999)) + "." +
+             std::to_string(rng.uniform_int(0, 99999));
+    case 2:
+      return std::to_string(rng.uniform_int(1, 9)) + "." +
+             std::to_string(rng.uniform_int(0, 999)) +
+             (rng.bernoulli(0.5) ? "e" : "E") +
+             (rng.bernoulli(0.5) ? "-" : "+") +
+             std::to_string(rng.uniform_int(0, 12));
+    case 3: {
+      std::string token = rng.bernoulli(0.3) ? "-" : "";
+      token += std::to_string(rng.uniform_int(1, 9)) + ".";
+      for (int i = 0; i < 16; ++i) {
+        token += static_cast<char>('0' + rng.uniform_int(0, 9));
+      }
+      return token + "e" + std::to_string(rng.uniform_int(-330, 310));
+    }
+    case 4:
+      return "0." +
+             std::string(static_cast<std::size_t>(rng.uniform_int(0, 6)),
+                         '0') +
+             std::to_string(rng.uniform_int(1, 999));
+    default:
+      return std::to_string(rng.next_u64());
+  }
+}
+
+std::string random_name(Rng& rng) {
+  // JSON-escaped pieces: quotes, backslashes, 2-, 3- and 4-byte UTF-8.
+  static const char* const kPieces[] = {
+      "split",  "work", "\\\"q\\\"",         "a\\\\b", "\\u00e9", "\\n",
+      "\\t",    "\\/",  "\\ud83d\\ude00", "merge",  "\\u0041\\u20ac"};
+  std::string name;
+  const int pieces = static_cast<int>(rng.uniform_int(1, 3));
+  for (int i = 0; i < pieces; ++i) {
+    name += kPieces[rng.uniform_index(std::size(kPieces))];
+  }
+  return name;
+}
+
+/// One wire line shaped like a schedd request, with randomized numbers,
+/// names and escapes.
+std::string generated_request(Rng& rng, int index) {
+  const int tasks = static_cast<int>(rng.uniform_int(1, 24));
+  std::string line = "{\"id\":\"g" + std::to_string(index) +
+                     "\",\"policy\":\"sa(wb=0.25)\",\"seed\":" +
+                     std::to_string(rng.next_u64()) +
+                     ",\"time_budget_ms\":" + random_real_token(rng) +
+                     ",\"priority\":" +
+                     std::to_string(rng.uniform_int(-3, 3)) +
+                     ",\"topology\":\"hypercube:3\",\"comm\":{\"enabled\":" +
+                     (rng.bernoulli(0.5) ? "true" : "false") +
+                     ",\"sigma_us\":" + random_real_token(rng) +
+                     ",\"tau_us\":" + random_real_token(rng) +
+                     "},\"graph\":{\"name\":\"" + random_name(rng) +
+                     "\",\"durations_us\":[";
+  for (int t = 0; t < tasks; ++t) {
+    line += (t == 0 ? "" : ",") + random_real_token(rng);
+  }
+  line += "],\"names\":[";
+  for (int t = 0; t < tasks; ++t) {
+    line += std::string(t == 0 ? "" : ", ") + "\"" + random_name(rng) + "\"";
+  }
+  line += "],\"edges\":[";
+  for (int t = 1; t < tasks; ++t) {
+    line += std::string(t == 1 ? "" : ",") + "[" +
+            std::to_string(rng.uniform_int(0, t - 1)) + "," +
+            std::to_string(t) + "," + random_real_token(rng) + "]";
+  }
+  return line + "],\"extra\":[null,true,{}]}}";
+}
+
+TEST(JsonParse, MatchesStrtodParserOnRequestStreams) {
+  Rng rng = Rng::stream(20261017, 1);
+  for (int i = 0; i < 500; ++i) expect_same_parse(generated_request(rng, i));
+
+  std::ifstream fixture(std::string(DAGSCHED_SOURCE_DIR) +
+                        "/tools/schedd_requests.jsonl");
+  ASSERT_TRUE(fixture.good());
+  std::string line;
+  int lines = 0;
+  while (std::getline(fixture, line)) {
+    expect_same_parse(line);
+    ++lines;
+  }
+  EXPECT_GE(lines, 10);
+}
+
+TEST(JsonParse, MatchesStrtodParserOnEveryPrefixAndBadInput) {
+  Rng rng = Rng::stream(20261017, 2);
+  const std::string request = generated_request(rng, 0);
+  for (std::size_t n = 0; n <= request.size(); ++n) {
+    expect_same_parse(request.substr(0, n));
+  }
+  const char* const bad[] = {
+      "\"\\x\"",         "\"\\u12\"",       "\"\\u12g4\"",
+      "\"\\ud800\"",     "\"\\ud800x\"",    "\"\\ud800\\u0041\"",
+      "\"\\udc00\"",     "\"\\ud83d\\ude00\"", "\"a\\",
+      "\"tab\there\"",   "\"\\u0000\"",     "[1,]",
+      "{\"a\" 1}",       "{\"a\":1 \"b\"}", "{1:2}",
+      "tru",             "nulls",           "[01]",
+      "-",               "1.",              ".5",
+      "1e",              "1e+",             "+1",
+      "[1 2]",           "{\"a\":[}",       "  ",
+  };
+  for (const char* text : bad) expect_same_parse(text);
+  // 64 levels parse, 65 hit the depth cap at the same offset.
+  expect_same_parse(std::string(64, '[') + std::string(64, ']'));
+  expect_same_parse(std::string(65, '[') + std::string(65, ']'));
+  expect_same_parse(std::string(66, '[') + std::string(66, ']'));
+  expect_same_parse(std::string(65, '{'));
+}
+
+TEST(JsonParse, MatchesStrtodParserOnEdgeNumbers) {
+  const char* const tokens[] = {
+      "0",
+      "-0",
+      "1e308",
+      "1.7976931348623157e308",
+      "1.7976931348623158e308",
+      "1.7976931348623159e308",
+      "1e-400",
+      "4.9e-324",
+      "1e-310",
+      "2.2250738585072011e-308",
+      "2.2250738585072014e-308",
+      "9223372036854775807",
+      "9223372036854775808",
+      "-9223372036854775808",
+      "-9223372036854775809",
+      "18446744073709551615",
+      "18446744073709551616",
+      "9007199254740993",
+      "01",
+      "1.",
+      "-",
+      "1.5",
+      "1e5",
+      "-1",
+      "0.1e-1",
+  };
+  for (const char* token : tokens) {
+    expect_same_parse(token);
+    expect_same_parse(std::string("[") + token + "]");
+    expect_same_parse(std::string("{\"n\": ") + token + " }");
+  }
+}
+
+// The parser's per-depth buffers outlive a parse; a parse that throws
+// half way through a container must leave nothing behind for the next.
+TEST(JsonParse, FailedParseLeavesNoElementsForTheNext) {
+  EXPECT_THROW(parse_json("[[1,2,{\"a\":[3,4"), std::invalid_argument);
+  EXPECT_THROW(parse_json("{\"k\":[5,6],\"j\":{\"x\":7,"),
+               std::invalid_argument);
+  const JsonValue doc = parse_json("[[8],{\"b\":[9]}]");
+  ASSERT_EQ(doc.items().size(), 2u);
+  ASSERT_EQ(doc.items()[0].items().size(), 1u);
+  EXPECT_EQ(doc.items()[0].items()[0].as_int64(), 8);
+  ASSERT_EQ(doc.items()[1].members().size(), 1u);
+  EXPECT_EQ(doc.items()[1].find("b")->items().size(), 1u);
+  EXPECT_EQ(doc.items()[1].find("b")->items()[0].as_int64(), 9);
 }
 
 TEST(JsonWriterStyles, CompactIsSingleLinePrettyUnchanged) {

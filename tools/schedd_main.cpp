@@ -6,11 +6,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 
 #include "service/daemon.hpp"
+#include "util/string_util.hpp"
 
 namespace {
 
@@ -48,9 +50,9 @@ long parse_long(const std::string& flag, const char* text) {
 }
 
 double parse_double(const std::string& flag, const char* text) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0' || value < 0) {
+  const dagsched::ParsedReal parsed = dagsched::parse_real(text);
+  const double value = parsed.value;
+  if (parsed.used == 0 || parsed.used != std::strlen(text) || value < 0) {
     std::fprintf(stderr, "schedd: %s needs a non-negative number, got '%s'\n",
                  flag.c_str(), text);
     std::exit(2);
@@ -61,6 +63,9 @@ double parse_double(const std::string& flag, const char* text) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // The reader and the emit path each own one unsynced stream;
+  // Schedd::run unties std::cin from std::cout so they never meet.
+  std::ios::sync_with_stdio(false);
   dagsched::service::ScheddOptions options;
   std::string trace_path;
 

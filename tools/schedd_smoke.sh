@@ -14,10 +14,15 @@
 #  3. Floods the daemon with slow anneal requests under --max-queue 0 and
 #     --max-queue 2 and requires structured load-shedding
 #     ("status":"shed" with a queue_full reason).
+#  4. Replays the fixture under --max-in-flight 4 and requires the
+#     input-ordered response stream.
+#  5. Paces 1000 requests through a pipe into --max-in-flight 4 and
+#     requires exactly one response per request, in request order.
 #
 # Usage: tools/schedd_smoke.sh <schedd-binary> <tools-dir>
 
 set -euo pipefail
+shopt -s extglob
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 schedd_bin="${1:-${repo_root}/build/schedd}"
@@ -192,4 +197,35 @@ for id in heft-a heft-a-iso gsa-b1 gsa-b2 gsa-b3; do
   done
 done
 
-echo "OK: schedd cache hits on isomorphic repeats, sheds with structured reasons, trace byte-deterministic, ordered under concurrent workers"
+# ---- 5. a paced pipe: one response per request, in request order -------
+# The fixture's fast schedule lines, re-labelled with fresh ids, arrive
+# through a pipe in bursts of 20, so the reader reads a burst while the
+# four workers emit the last one.  If the reader touched stdout (schedd
+# unsyncs the standard streams, so a stdin still tied to stdout would be
+# flushed on every read, outside the emit lock) responses get lost,
+# duplicated or reordered: with the tie left in place this section failed
+# in 24 of 24 runs on a 4-vCPU host.
+paced=1000
+grep -E '"id":"(heft-a|heft-a-iso|prio)"' "${requests}" > "${workdir}/fast.jsonl"
+mapfile -t fast < "${workdir}/fast.jsonl"
+for ((i = 0; i < paced; ++i)); do
+  line="${fast[i % ${#fast[@]}]}"
+  printf '%s\n' "${line/\"id\":\"*([^\"])\"/\"id\":\"p${i}\"}"
+  if (( i % 20 == 19 )); then sleep 0.003; fi
+done | "${schedd_bin}" --max-in-flight 4 --max-queue "${paced}" \
+  > "${workdir}/paced.jsonl"
+seq 0 $((paced - 1)) | sed 's/^/"id":"p/; s/$/"/' > "${workdir}/paced.want"
+grep -o '"id":"[^"]*"' "${workdir}/paced.jsonl" > "${workdir}/paced.got" || true
+if ! cmp -s "${workdir}/paced.want" "${workdir}/paced.got"; then
+  echo "FAIL: a paced pipe into --max-in-flight 4 did not get exactly one" \
+       "in-order response per request ($(wc -l < "${workdir}/paced.jsonl")" \
+       "lines for ${paced} requests)" >&2
+  diff "${workdir}/paced.want" "${workdir}/paced.got" | head -20 >&2 || true
+  exit 1
+fi
+if [[ "$(grep -c '"status":"ok"' "${workdir}/paced.jsonl")" -ne "${paced}" ]]; then
+  echo "FAIL: paced requests did not all complete" >&2
+  exit 1
+fi
+
+echo "OK: schedd cache hits on isomorphic repeats, sheds with structured reasons, trace byte-deterministic, ordered under concurrent workers and over a paced pipe"

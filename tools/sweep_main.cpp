@@ -23,6 +23,7 @@
 #include "sweep/shard.hpp"
 #include "sweep/spec.hpp"
 #include "sweep/summary.hpp"
+#include "util/string_util.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -150,17 +151,14 @@ int main(int argc, char** argv) {
       override_seed = true;
     } else if (arg == "--time-budget-ms") {
       const std::string value = next_value("--time-budget-ms");
-      try {
-        std::size_t used = 0;
-        time_budget_ms = std::stod(value, &used);
-        if (used != value.size() || time_budget_ms < 0) {
-          throw std::invalid_argument(value);
-        }
-      } catch (const std::exception&) {
+      const dagsched::ParsedReal parsed = dagsched::parse_real(value);
+      if (parsed.used == 0 || parsed.used != value.size() ||
+          parsed.out_of_range || parsed.value < 0) {
         std::cerr << "sweep: --time-budget-ms needs a nonnegative number, "
                      "got '" << value << "'\n";
         return 1;
       }
+      time_budget_ms = parsed.value;
       override_budget = true;
     } else if (arg == "--shard") {
       const std::string value = next_value("--shard");
