@@ -4,7 +4,7 @@
 
 #include "lint/model.hpp"
 
-// The six contract rules.  Each is a lexical pattern over the FileModel
+// The seven contract rules.  Each is a lexical pattern over the FileModel
 // token stream; docs/ARCHITECTURE.md ("Machine-checked contracts") maps
 // every rule back to the prose invariant it enforces.
 
@@ -358,6 +358,22 @@ void check_locale_number(const FileModel& model,
                  "use parse_real (util/string_util), which reads numbers "
                  "with std::from_chars"});
       }
+    }
+  }
+}
+
+void check_ready_scan(const FileModel& model, const LintOptions& options,
+                      std::vector<RawFinding>& out) {
+  if (!path_in_scope(model.norm_path, options.policy_paths)) return;
+  const std::vector<Token>& tokens = model.tokens;
+  for (std::size_t i = 1; i + 1 < tokens.size(); ++i) {
+    if (is_ident(tokens[i], "ready_tasks") && is_punct(tokens[i + 1], "(") &&
+        (is_punct(tokens[i - 1], ".") || is_punct(tokens[i - 1], "->"))) {
+      out.push_back(
+          {tokens[i].line, "ready-scan",
+           "ready_tasks() in a scheduling policy reads the whole ready set "
+           "each epoch, O(n^2) over a workflow-scale run; keep a ReadyIndex "
+           "fed from newly_ready() (sched/policy.hpp)"});
     }
   }
 }

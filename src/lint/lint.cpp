@@ -221,7 +221,7 @@ bool path_in_scope(const std::string& norm_path,
 const std::vector<std::string>& known_checks() {
   static const std::vector<std::string> kChecks = {
       "wall-clock", "unordered-iter", "rng-stream", "float-format",
-      "bare-assert", "locale-number",
+      "bare-assert", "locale-number", "ready-scan",
   };
   return kChecks;
 }
@@ -239,6 +239,7 @@ LintOptions default_options() {
   // formatting helper.
   options.writer_paths = options.ordered_paths;
   options.writer_paths.push_back("util/string_util");
+  options.policy_paths = {"sched/"};
   return options;
 }
 
@@ -259,6 +260,9 @@ std::vector<Finding> lint_source(const std::string& path,
   if (check_enabled(options, "bare-assert")) check_bare_assert(model, raw);
   if (check_enabled(options, "locale-number")) {
     check_locale_number(model, raw);
+  }
+  if (check_enabled(options, "ready-scan")) {
+    check_ready_scan(model, options, raw);
   }
 
   // Suppression pass: a finding is dropped when a matching LINT-ALLOW sits

@@ -8,7 +8,7 @@
 // and reviewer vigilance only.  This library turns the documented
 // invariants into lexical pattern rules over translation units, run by the
 // `dagsched-lint` CLI (tools/lint_main.cpp), the `lint_repo` CTest and the
-// CI lint job.  Six checks:
+// CI lint job.  Seven checks:
 //
 //   wall-clock     steady_clock / system_clock / high_resolution_clock /
 //                  std::random_device / ::rand / ::srand / gettimeofday /
@@ -45,6 +45,13 @@
 //                  under a comma locale; numbers are read through
 //                  parse_real / parse_int64 (util/string_util), which use
 //                  std::from_chars and keep strtod's grammar.
+//   ready-scan     a `.ready_tasks()` / `->ready_tasks()` call in a
+//                  scheduling policy (src/sched/).  Reading the whole
+//                  ready set every epoch is O(n^2) over a workflow-scale
+//                  run; policies keep a ReadyIndex fed from
+//                  EpochContext::newly_ready() (sched/policy.hpp).  The
+//                  policies whose rule needs the whole set carry
+//                  suppressions.
 //
 // Suppression syntax (same line as the finding or the line directly
 // above):
@@ -96,6 +103,11 @@ struct LintOptions {
   /// Path fragments selecting the serialization/summary/hash paths for
   /// unordered-iter.
   std::vector<std::string> ordered_paths;
+
+  /// Path fragments selecting the scheduling-policy sources for
+  /// ready-scan.  Every path is in scope unless narrowed (default_options
+  /// narrows it to the policies under src/sched/).
+  std::vector<std::string> policy_paths = {""};
 
   /// Roots against which `#include "..."` lines are resolved (in addition
   /// to the including file's own directory).

@@ -37,7 +37,7 @@ struct RawFinding {
 bool path_in_scope(const std::string& norm_path,
                    const std::vector<std::string>& fragments);
 
-// The six contract rules (checks.cpp).  Each appends to `out`.
+// The seven contract rules (checks.cpp).  Each appends to `out`.
 void check_wall_clock(const FileModel& model, std::vector<RawFinding>& out);
 void check_unordered_iter(const FileModel& model, const LintOptions& options,
                           std::vector<RawFinding>& out);
@@ -45,6 +45,8 @@ void check_rng_stream(const FileModel& model, std::vector<RawFinding>& out);
 void check_float_format(const FileModel& model, const LintOptions& options,
                         std::vector<RawFinding>& out);
 void check_bare_assert(const FileModel& model, std::vector<RawFinding>& out);
+void check_ready_scan(const FileModel& model, const LintOptions& options,
+                      std::vector<RawFinding>& out);
 void check_locale_number(const FileModel& model,
                          std::vector<RawFinding>& out);
 

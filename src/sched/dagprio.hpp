@@ -17,6 +17,9 @@
 // Placement is communication-aware min-cost (the HLF-mincomm rule).  On an
 // offline run (no arrival plan) age and slack are constant/absent, so the
 // policy degenerates to HLF-mincomm ordering — deterministic either way.
+// There the score w_cp * level(t) is fixed per task and the policy keeps
+// the ready pool in a ReadyIndex; on an online run the score moves with
+// the clock, so every epoch scores the whole ready set.
 
 #include <vector>
 
@@ -29,13 +32,20 @@ class DagPrioScheduler : public sim::SchedulingPolicy {
   explicit DagPrioScheduler(double w_cp = 1.0, double w_slack = 1.0,
                             double w_age = 0.1);
 
+  void on_run_start(const TaskGraph& graph, const Topology&,
+                    const CommModel&) override;
   void on_epoch(sim::EpochContext& ctx) override;
   std::string name() const override;
 
  private:
+  /// Online runs: the |free_| best-scored ready tasks into order_.
+  void select_online(const sim::EpochContext& ctx);
+
   double w_cp_;
   double w_slack_;
   double w_age_;
+  ReadyIndex<double> ready_;       ///< offline runs: one lane, key -score
+  std::vector<TaskId> order_;      ///< per-epoch scratch, best first
   std::vector<double> score_;      ///< per-epoch scratch, by ready index
   std::vector<std::size_t> rank_;  ///< per-epoch scratch, ready indices
   std::vector<ProcId> free_;       ///< per-epoch scratch

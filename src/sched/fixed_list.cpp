@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "graph/analysis.hpp"
-#include "sched/policy.hpp"
 #include "util/require.hpp"
 
 namespace dagsched::sched {
@@ -33,16 +32,16 @@ void FixedListScheduler::on_run_start(const TaskGraph& graph, const Topology&,
             "FixedListScheduler: duplicate task in list");
     rank_[static_cast<std::size_t>(t)] = static_cast<int>(pos);
   }
+  ready_.clear(list_.size(), 1);
 }
 
 void FixedListScheduler::on_epoch(sim::EpochContext& ctx) {
   // Only the |idle| first-listed ready tasks can be assigned.
+  for (const TaskId task : ctx.newly_ready()) {
+    ready_.add(0, task, rank_[static_cast<std::size_t>(task)]);
+  }
   const std::span<const ProcId> idle = ctx.idle_procs();
-  order_.assign(ctx.ready_tasks().begin(), ctx.ready_tasks().end());
-  keep_top_k(order_, idle.size(), [this](TaskId a, TaskId b) {
-    return rank_[static_cast<std::size_t>(a)] <
-           rank_[static_cast<std::size_t>(b)];
-  });
+  ready_.take(0, idle.size(), order_);
   for (std::size_t i = 0; i < order_.size(); ++i) {
     ctx.assign(order_[i], idle[i]);
   }

@@ -10,7 +10,7 @@
 
 #include <vector>
 
-#include "sim/scheduler_api.hpp"
+#include "sched/policy.hpp"
 
 namespace dagsched::sched {
 
@@ -34,6 +34,7 @@ class FixedListScheduler : public sim::SchedulingPolicy {
  private:
   std::vector<TaskId> list_;
   std::vector<int> rank_;  ///< rank_[task] = position in the list
+  ReadyIndex<int> ready_;  ///< one lane, key rank_
   std::vector<TaskId> order_;  ///< per-epoch scratch
 
   void on_run_start(const TaskGraph& graph, const Topology&,

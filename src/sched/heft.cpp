@@ -51,65 +51,150 @@ class MeanCommCost {
 ///
 /// Slots never overlap (a zero-length slot may touch a neighbour's start
 /// or finish, never its interior), so under this order the finish times
-/// are sorted too, and earliest_slot binary-searches past the prefix of
-/// slots that end at or before `est`.  Ordering equal starts by finish
-/// changes no answer of the scan: within a group of slots sharing a start,
-/// only the first can return, with a value that does not depend on which
-/// slot comes first.
-struct ProcTimeline {
-  std::vector<ListScheduleEntry> busy;  ///< proc field unused
-
+/// are sorted too.  earliest_slot therefore binary-searches past the
+/// prefix of slots that end at or before `est`, and past that point the
+/// reference scan — try `est` before the first remaining slot, then each
+/// gap in turn, then the end — returns busy[i-1].finish for the first i
+/// whose gap busy[i].start - busy[i-1].finish holds `duration`.  A
+/// max-segment tree over the gaps finds that i by descent in O(log n).
+/// Ordering equal starts by finish changes no answer of the scan: within a
+/// group of slots sharing a start, only the first can return, with a
+/// value that does not depend on which slot comes first.
+class ProcTimeline {
+ public:
   /// Earliest start >= `est` of a free interval of length `duration`.
   ///
   /// No skipped slot (finish <= est) can hold the task: that would need
   /// est + duration <= start <= finish <= est, i.e. a zero-length task and
   /// a zero-length slot at est — and then the first unskipped slot starts
-  /// at or after est, so the scan below returns the same est.  The skipped
-  /// finishes are all <= est, so the gap start they leave cannot raise a
-  /// candidate above est and the scan may start from zero.
+  /// at or after est, so the test below returns the same est.  Past the
+  /// skipped prefix every finish is > est, so a gap's start is its left
+  /// slot's finish.
+  ///
+  /// When no gap anywhere holds the task (the tree's root), the task can
+  /// only go before the first slot or after the last: fitting before an
+  /// unskipped slot with a skipped one to its left would make that
+  /// slot's gap at least `duration`.  At workflow scale this is nearly
+  /// every query, and it needs no search.
   Time earliest_slot(Time est, Time duration) const {
-    const auto first = std::partition_point(
-        busy.begin(), busy.end(),
-        [est](const ListScheduleEntry& slot) { return slot.finish <= est; });
-    Time gap_start = 0;
-    for (auto slot = first; slot != busy.end(); ++slot) {
-      const Time candidate = std::max(est, gap_start);
-      if (candidate + duration <= slot->start) return candidate;
-      gap_start = std::max(gap_start, slot->finish);
+    if (busy_.empty() || est >= busy_.back().finish) return est;
+    if (tree_[1] < duration) {
+      return est + duration <= busy_.front().start ? est
+                                                   : busy_.back().finish;
     }
-    return std::max(est, gap_start);
+    const auto first = std::partition_point(
+        busy_.begin(), busy_.end(),
+        [est](const Slot& slot) { return slot.finish <= est; });
+    if (est + duration <= first->start) return est;
+    const std::size_t i = first_gap_at_least(
+        static_cast<std::size_t>(first - busy_.begin()) + 1, duration);
+    return i < busy_.size() ? busy_[i - 1].finish : busy_.back().finish;
   }
 
   void occupy(Time start, Time finish) {
-    ListScheduleEntry entry;
-    entry.start = start;
-    entry.finish = finish;
+    const Slot slot{start, finish};
     const auto pos = std::lower_bound(
-        busy.begin(), busy.end(), entry,
-        [](const ListScheduleEntry& a, const ListScheduleEntry& b) {
+        busy_.begin(), busy_.end(), slot, [](const Slot& a, const Slot& b) {
           return a.start != b.start ? a.start < b.start : a.finish < b.finish;
         });
-    busy.insert(pos, entry);
+    const auto first_moved = static_cast<std::size_t>(pos - busy_.begin());
+    busy_.insert(pos, slot);
+    if (busy_.size() > leaves_) {
+      rebuild();
+    } else {
+      refresh_from(first_moved);
+    }
   }
+
+ private:
+  struct Slot {
+    Time start;
+    Time finish;
+  };
+
+  /// Below every duration: leaf 0 (no gap before the first slot) and the
+  /// padding leaves.
+  static constexpr Time kNoGap = std::numeric_limits<Time>::min();
+
+  Time gap(std::size_t i) const {
+    return i == 0 ? kNoGap : busy_[i].start - busy_[i - 1].finish;
+  }
+
+  void rebuild() {
+    leaves_ = std::max<std::size_t>(leaves_, 1);
+    while (leaves_ < busy_.size()) leaves_ *= 2;
+    tree_.assign(2 * leaves_, kNoGap);
+    for (std::size_t i = 0; i < busy_.size(); ++i) {
+      tree_[leaves_ + i] = gap(i);
+    }
+    for (std::size_t node = leaves_ - 1; node >= 1; --node) {
+      tree_[node] = std::max(tree_[2 * node], tree_[2 * node + 1]);
+    }
+  }
+
+  /// Re-derives leaves `first` onward and their ancestors: an insert
+  /// shifts every later slot one leaf right, at a cost that grows with
+  /// the shifted suffix like the vector insert itself.
+  void refresh_from(std::size_t first) {
+    for (std::size_t i = first; i < busy_.size(); ++i) {
+      tree_[leaves_ + i] = gap(i);
+    }
+    std::size_t lo = leaves_ + first;
+    std::size_t hi = leaves_ + busy_.size() - 1;
+    while (lo > 1) {
+      lo /= 2;
+      hi /= 2;
+      for (std::size_t node = lo; node <= hi; ++node) {
+        tree_[node] = std::max(tree_[2 * node], tree_[2 * node + 1]);
+      }
+    }
+  }
+
+  /// The first i >= lo with gap(i) >= duration, or busy_.size() if none:
+  /// climb from leaf lo until a right sibling holds a large enough gap,
+  /// then descend to its leftmost such leaf.
+  std::size_t first_gap_at_least(std::size_t lo, Time duration) const {
+    if (lo >= busy_.size()) return busy_.size();
+    std::size_t node = leaves_ + lo;
+    if (tree_[node] >= duration) return lo;
+    for (; node > 1; node /= 2) {
+      if (node % 2 == 0 && tree_[node + 1] >= duration) {
+        node += 1;
+        while (node < leaves_) {
+          node *= 2;
+          if (tree_[node] < duration) ++node;
+        }
+        return node - leaves_;
+      }
+    }
+    return busy_.size();
+  }
+
+  std::vector<Slot> busy_;
+  std::vector<Time> tree_;  ///< max over gaps; node k has children 2k, 2k+1
+  std::size_t leaves_ = 0;  ///< a power of two >= busy_.size()
 };
 
-/// Earliest (analytic) start of `task` on `proc` given the already-placed
-/// predecessors: every input must arrive, local inputs are free.
-Time earliest_start(const TaskGraph& graph, const Topology& topology,
-                    const CommModel& comm,
-                    const std::vector<ListScheduleEntry>& placed, TaskId task,
-                    ProcId proc) {
-  Time est = 0;
+/// Earliest (analytic) start of `task` on every processor given the
+/// already-placed predecessors: every input must arrive, local inputs are
+/// free.  `est` is overwritten, one entry per processor.
+void earliest_starts(const TaskGraph& graph, const Topology& topology,
+                     const CommModel& comm,
+                     const std::vector<ListScheduleEntry>& placed, TaskId task,
+                     std::vector<Time>& est) {
+  std::fill(est.begin(), est.end(), 0);
   for (const EdgeRef& pred : graph.predecessors(task)) {
     const ListScheduleEntry& entry =
         placed[static_cast<std::size_t>(pred.task)];
-    const Time arrival =
-        entry.finish +
-        comm.analytic_cost(pred.weight,
-                           topology.distance(entry.proc, proc));
-    est = std::max(est, arrival);
+    for (std::size_t p = 0; p < est.size(); ++p) {
+      const Time arrival =
+          entry.finish +
+          comm.analytic_cost(pred.weight,
+                             topology.distance(entry.proc,
+                                               static_cast<ProcId>(p)));
+      est[p] = std::max(est[p], arrival);
+    }
   }
-  return est;
 }
 
 }  // namespace
@@ -229,11 +314,14 @@ ListSchedule heft_schedule(const TaskGraph& graph, const Topology& topology,
   std::make_heap(ready.begin(), ready.end(), placed_after);
 
   std::vector<ProcTimeline> timelines(static_cast<std::size_t>(num_procs));
+  std::vector<Time> est(static_cast<std::size_t>(num_procs), 0);
   for (int placed_count = 0; placed_count < num_tasks; ++placed_count) {
     require(!ready.empty(), "heft_schedule: no ready task (cycle?)");
     std::pop_heap(ready.begin(), ready.end(), placed_after);
     const TaskId task = ready.back();
     ready.pop_back();
+    const Time duration = graph.duration(task);
+    earliest_starts(graph, topology, comm, schedule.tasks, task, est);
 
     ProcId best_proc = kInvalidProc;
     Time best_start = 0;
@@ -245,12 +333,10 @@ ListSchedule heft_schedule(const TaskGraph& graph, const Topology& topology,
           (*excluded)[static_cast<std::size_t>(p)]) {
         continue;
       }
-      const Time est = earliest_start(graph, topology, comm, schedule.tasks,
-                                      task, p);
       const Time start =
           timelines[static_cast<std::size_t>(p)].earliest_slot(
-              est, graph.duration(task));
-      const Time finish = start + graph.duration(task);
+              est[static_cast<std::size_t>(p)], duration);
+      const Time finish = start + duration;
       const double key =
           variant == HeftVariant::Peft
               ? static_cast<double>(finish) +
@@ -309,6 +395,7 @@ void HeftScheduler::on_run_start(const TaskGraph& graph,
   comm_ = &comm;
   rebuild_plan(nullptr);
   initial_plan_makespan_ = plan_.makespan;
+  dispatch_.begin_run(graph.num_tasks(), topology.num_procs());
   proc_down_.assign(static_cast<std::size_t>(topology.num_procs()), 0);
   last_down_.assign(proc_down_.size(), 0);
 }
@@ -327,6 +414,7 @@ void HeftScheduler::on_epoch(sim::EpochContext& ctx) {
     // whole graph only redirects the tasks still to come.
     last_down_ = proc_down_;
     rebuild_plan(ctx.down_procs().empty() ? nullptr : &proc_down_);
+    dispatch_.reindex();
   }
   // Under Repin, a task whose planned machine crashed takes the first
   // still-free idle processor instead of waiting out the repair.

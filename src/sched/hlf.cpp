@@ -7,14 +7,20 @@ namespace dagsched::sched {
 HlfScheduler::HlfScheduler(HlfPlacement placement, std::uint64_t seed)
     : placement_(placement), seed_(seed), draw_state_(seed) {}
 
-void HlfScheduler::on_run_start(const TaskGraph&, const Topology&,
+void HlfScheduler::on_run_start(const TaskGraph& graph, const Topology&,
                                 const CommModel&) {
   draw_state_ = seed_;  // identical runs draw identical placements
+  ready_.clear(static_cast<std::size_t>(graph.num_tasks()), 1);
 }
 
 void HlfScheduler::on_epoch(sim::EpochContext& ctx) {
+  // The |idle| highest-level ready tasks, highest first (ties: lower id).
+  const std::vector<Time>& levels = ctx.levels();
+  for (const TaskId task : ctx.newly_ready()) {
+    ready_.add(0, task, -levels[static_cast<std::size_t>(task)]);
+  }
   free_.assign(ctx.idle_procs().begin(), ctx.idle_procs().end());
-  ready_by_level(ctx, free_.size(), order_);
+  ready_.take(0, free_.size(), order_);
   // LINT-ALLOW(rng-stream): per-epoch reseed from draw_state_ is the policy's pinned bit-compat stream
   Rng rng(draw_state_);
 

@@ -36,10 +36,11 @@ class HlfScheduler : public sim::SchedulingPolicy {
   HlfPlacement placement_;
   std::uint64_t seed_;
   std::uint64_t draw_state_;
+  ReadyIndex<Time> ready_;     ///< one lane, key -level
   std::vector<TaskId> order_;  ///< per-epoch scratch
   std::vector<ProcId> free_;   ///< per-epoch scratch
 
-  void on_run_start(const TaskGraph&, const Topology&,
+  void on_run_start(const TaskGraph& graph, const Topology&,
                     const CommModel&) override;
 };
 

@@ -33,71 +33,84 @@ void PinnedDispatch::dispatch(sim::EpochContext& ctx,
   const auto procs = static_cast<std::size_t>(ctx.topology().num_procs());
   if (idle_stamp_.size() != procs) {
     idle_stamp_.assign(procs, 0);
-    down_stamp_.assign(procs, 0);
     used_stamp_.assign(procs, 0);
-    best_stamp_.assign(procs, 0);
-    best_task_.resize(procs);
   }
+  const auto index = [&](TaskId task) {
+    const auto t = static_cast<std::size_t>(task);
+    ready_.add(static_cast<std::size_t>(target[t]), task, rank[t]);
+  };
+  if (reindex_) {
+    reindex_ = false;
+    ready_.clear(static_cast<std::size_t>(ctx.graph().num_tasks()), procs);
+    // LINT-ALLOW(ready-scan): the index rebuild: ranks and targets changed, so every ready task is refiled once
+    for (const TaskId task : ctx.ready_tasks()) index(task);
+  } else {
+    for (const TaskId task : ctx.newly_ready()) index(task);
+  }
+
   const std::uint64_t stamp = ++stamp_;
   const std::span<const ProcId> idle = ctx.idle_procs();
   for (const ProcId p : idle) idle_stamp_[static_cast<std::size_t>(p)] = stamp;
-  const bool repair = repin && !ctx.down_procs().empty();
-  if (repair) {
-    for (const ProcId p : ctx.down_procs()) {
-      down_stamp_[static_cast<std::size_t>(p)] = stamp;
-    }
-  }
+  const std::span<const ProcId> down =
+      repin ? ctx.down_procs() : std::span<const ProcId>();
   const auto rank_of = [&rank](TaskId t) {
     return rank[static_cast<std::size_t>(t)];
   };
 
-  // One linear pass: each idle processor's best-ranked ready task, and
-  // every ready task stranded on a down processor.
-  stranded_.clear();
-  for (const TaskId task : ctx.ready_tasks()) {
-    const auto slot =
-        static_cast<std::size_t>(target[static_cast<std::size_t>(task)]);
-    if (idle_stamp_[slot] == stamp) {
-      if (best_stamp_[slot] != stamp ||
-          rank_of(task) < rank_of(best_task_[slot])) {
-        best_stamp_[slot] = stamp;
-        best_task_[slot] = task;
-      }
-    } else if (repair && down_stamp_[slot] == stamp) {
-      stranded_.push_back(task);
-    }
-  }
+  // Each idle processor's best-ranked ready task, then the |idle|
+  // best-ranked tasks stranded on down processors, merged across their
+  // lanes.  Stranded entries are popped; the ones not assigned below go
+  // back.
   candidates_.clear();
   for (const ProcId p : idle) {
-    if (best_stamp_[static_cast<std::size_t>(p)] == stamp) {
-      candidates_.push_back(best_task_[static_cast<std::size_t>(p)]);
-    }
+    const auto* best = ready_.top(static_cast<std::size_t>(p));
+    if (best != nullptr) candidates_.push_back(best->task);
   }
-  const auto by_rank = [&rank_of](TaskId a, TaskId b) {
-    return rank_of(a) < rank_of(b);
-  };
-  keep_top_k(stranded_, idle.size(), by_rank);
+  stranded_.clear();
+  while (stranded_.size() < idle.size()) {
+    std::size_t lane = procs;
+    int lane_rank = 0;
+    for (const ProcId p : down) {
+      const auto* best = ready_.top(static_cast<std::size_t>(p));
+      if (best != nullptr && (lane == procs || best->key < lane_rank)) {
+        lane = static_cast<std::size_t>(p);
+        lane_rank = best->key;
+      }
+    }
+    if (lane == procs) break;
+    stranded_.push_back(ready_.top(lane)->task);
+    ready_.pop(lane);
+  }
   candidates_.insert(candidates_.end(), stranded_.begin(), stranded_.end());
-  std::sort(candidates_.begin(), candidates_.end(), by_rank);
+  std::sort(candidates_.begin(), candidates_.end(),
+            [&rank_of](TaskId a, TaskId b) { return rank_of(a) < rank_of(b); });
 
   // The reference walk over the candidates.  A processor before
-  // `next_free` is always taken, so the repin scan never restarts.
+  // `next_free` is always taken, so the repin scan never restarts.  Only
+  // stranded candidates have a target that is not idle.
   std::size_t next_free = 0;
   for (const TaskId task : candidates_) {
     const ProcId proc = target[static_cast<std::size_t>(task)];
     const auto slot = static_cast<std::size_t>(proc);
-    if (idle_stamp_[slot] == stamp && used_stamp_[slot] != stamp) {
-      ctx.assign(task, proc);
-      used_stamp_[slot] = stamp;
-    } else if (repair && down_stamp_[slot] == stamp) {
+    ProcId pick = kInvalidProc;
+    if (idle_stamp_[slot] == stamp) {
+      if (used_stamp_[slot] != stamp) pick = proc;
+    } else {
       while (next_free < idle.size() &&
              used_stamp_[static_cast<std::size_t>(idle[next_free])] == stamp) {
         ++next_free;
       }
-      if (next_free == idle.size()) continue;
-      ctx.assign(task, idle[next_free]);
-      used_stamp_[static_cast<std::size_t>(idle[next_free])] = stamp;
+      if (next_free < idle.size()) pick = idle[next_free];
     }
+    if (pick == kInvalidProc) continue;
+    ctx.assign(task, pick);
+    used_stamp_[static_cast<std::size_t>(pick)] = stamp;
+    ready_.erase(task);
+  }
+  for (const TaskId task : stranded_) {
+    if (!ready_.contains(task)) continue;  // assigned above
+    const auto t = static_cast<std::size_t>(task);
+    ready_.push(static_cast<std::size_t>(target[t]), task, rank[t]);
   }
 }
 
@@ -113,7 +126,7 @@ void PinnedScheduler::on_run_start(const TaskGraph& graph,
     require(topology.is_valid_proc(p),
             "PinnedScheduler: mapping names a missing processor");
   }
-  dispatch_.begin_run();  // levels arrive with the first epoch
+  dispatch_.begin_run(graph.num_tasks(), topology.num_procs());
 }
 
 void PinnedScheduler::on_epoch(sim::EpochContext& ctx) {

@@ -16,7 +16,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/scheduler_api.hpp"
+#include "sched/policy.hpp"
 
 namespace dagsched::sched {
 
@@ -28,16 +28,32 @@ namespace dagsched::sched {
 /// `repin`, a task whose target is down instead takes the lowest-numbered
 /// idle processor still free.
 ///
-/// dispatch() reproduces that assignment sequence without sorting the
-/// ready set.  Only the best-ranked ready task pinned to an idle processor
-/// can win it (any later one finds it taken), and at most |idle| tasks
-/// with a down target can take a free processor.  So one linear scan
-/// collects those candidates, and the walk runs over just them.
+/// dispatch() reproduces that assignment sequence from a ReadyIndex with
+/// one lane per target processor, keyed by rank.  Only the best-ranked
+/// ready task pinned to an idle processor can win it (any later one finds
+/// it taken), and at most |idle| tasks with a down target can take a free
+/// processor.  So the candidates are the top of each idle processor's
+/// lane plus the |idle| best tasks merged from the down processors' lanes,
+/// and the walk runs over just them.
+///
+/// The index is per run: begin_run() empties it and each epoch adds the
+/// context's newly_ready() tasks.  Ranks and targets must stay fixed while
+/// a task is indexed; a policy that changes them mid-run (HEFT/PEFT
+/// replan) calls reindex() first.
 class PinnedDispatch {
  public:
-  /// Call from on_run_start: the next level_ranks() call re-checks the
-  /// levels it was built from.
-  void begin_run() { ranks_checked_ = false; }
+  /// Call from on_run_start: empties the ready index, and the next
+  /// level_ranks() call re-checks the levels it was built from.
+  void begin_run(int num_tasks, int num_procs) {
+    ranks_checked_ = false;
+    reindex_ = false;
+    ready_.clear(static_cast<std::size_t>(num_tasks),
+                 static_cast<std::size_t>(num_procs));
+  }
+
+  /// The ranks or targets changed mid-run: the next dispatch() rebuilds
+  /// the index from the whole ready set.
+  void reindex() { reindex_ = true; }
 
   /// rank[t] = position of task t in the HLF order (level descending, ties
   /// toward the lower id).  Replay loops re-run one policy against one
@@ -51,14 +67,13 @@ class PinnedDispatch {
                 const std::vector<ProcId>& target, bool repin);
 
  private:
+  ReadyIndex<int> ready_;  ///< lane = target processor, key = rank
+  bool reindex_ = false;
   // Stamp arrays avoid an O(procs) clear per epoch.
   std::uint64_t stamp_ = 0;
   std::vector<std::uint64_t> idle_stamp_;
-  std::vector<std::uint64_t> down_stamp_;
   std::vector<std::uint64_t> used_stamp_;
-  std::vector<std::uint64_t> best_stamp_;
-  std::vector<TaskId> best_task_;  ///< per idle processor, its winner
-  std::vector<TaskId> stranded_;   ///< ready tasks with a down target
+  std::vector<TaskId> stranded_;   ///< popped from down processors' lanes
   std::vector<TaskId> candidates_;
   std::vector<int> rank_;
   std::vector<Time> ranked_levels_;  ///< levels rank_ was built from

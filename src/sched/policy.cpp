@@ -15,10 +15,4 @@ Time incoming_comm_cost(const sim::EpochContext& ctx, TaskId task,
   return cost;
 }
 
-void ready_by_level(const sim::EpochContext& ctx, std::size_t k,
-                    std::vector<TaskId>& out) {
-  out.assign(ctx.ready_tasks().begin(), ctx.ready_tasks().end());
-  keep_top_k(out, k, HigherLevelFirst{ctx.levels()});
-}
-
 }  // namespace dagsched::sched

@@ -18,8 +18,9 @@ void RandomScheduler::on_run_start(const TaskGraph&, const Topology&,
 void RandomScheduler::on_epoch(sim::EpochContext& ctx) {
   // LINT-ALLOW(rng-stream): per-epoch reseed from draw_state_ is the policy's pinned bit-compat stream
   Rng rng(draw_state_);
-  std::vector<TaskId> tasks(ctx.ready_tasks().begin(),
-                            ctx.ready_tasks().end());
+  // LINT-ALLOW(ready-scan): the pinned shuffle draws over every ready task, so the whole set is read
+  const std::span<const TaskId> ready = ctx.ready_tasks();
+  std::vector<TaskId> tasks(ready.begin(), ready.end());
   std::vector<ProcId> procs(ctx.idle_procs().begin(),
                             ctx.idle_procs().end());
   rng.shuffle(tasks);

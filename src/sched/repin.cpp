@@ -16,7 +16,7 @@ void RepinScheduler::on_run_start(const TaskGraph& graph,
     require(topology.is_valid_proc(p),
             "RepinScheduler: mapping names a missing processor");
   }
-  dispatch_.begin_run();
+  dispatch_.begin_run(graph.num_tasks(), topology.num_procs());
 }
 
 void RepinScheduler::on_epoch(sim::EpochContext& ctx) {

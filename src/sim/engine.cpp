@@ -422,7 +422,8 @@ class Run {
   Run(const TaskGraph& graph, const Topology& topology, const CommModel& comm,
       SchedulingPolicy& policy, const SimOptions& options,
       const std::vector<Time>& levels, detail::RouteTable& routes,
-      RunState& state, const FaultModel* faults, const ArrivalPlan* arrivals)
+      RunState& state, const FaultModel* faults, const ArrivalPlan* arrivals,
+      std::vector<TaskId>& newly_ready)
       : graph_(graph),
         topology_(topology),
         comm_(comm),
@@ -432,7 +433,10 @@ class Run {
         routes_(routes),
         s_(state),
         faults_(faults),
-        arrivals_(arrivals) {}
+        arrivals_(arrivals),
+        newly_ready_(newly_ready) {
+    newly_ready_.clear();
+  }
 
   SimResult execute(EpochObserver* observer);
 
@@ -487,6 +491,13 @@ class Run {
   void on_workflow_arrival(int workflow);
 
   // --- scheduling ----------------------------------------------------------
+  /// Puts a task into the (sorted) ready pool and the policy's delta.
+  void add_ready(TaskId task) {
+    s_.ready_pool.insert(
+        std::upper_bound(s_.ready_pool.begin(), s_.ready_pool.end(), task),
+        task);
+    newly_ready_.push_back(task);
+  }
   void run_epoch(EpochObserver* observer);
   void apply_assignment(TaskId task, ProcId p, int epoch_index);
 
@@ -500,6 +511,13 @@ class Run {
   RunState& s_;
   const FaultModel* faults_;  ///< null on the zero-fault fast path
   const ArrivalPlan* arrivals_;  ///< null on the no-arrival fast path
+  /// Tasks that entered the ready pool since the policy's previous
+  /// on_epoch (EpochContext::newly_ready).  Engine-owned scratch outside
+  /// RunState, so checkpoints never copy it.
+  std::vector<TaskId>& newly_ready_;
+  /// The policy has not been called yet in this run (or since the
+  /// resume): its first epoch is handed the whole pool as the delta.
+  bool whole_pool_ = true;
 };
 
 void Run::record_task_span(ProcId p, TaskId task, Time start, Time end,
@@ -665,11 +683,7 @@ void Run::on_task_done(ProcId p, std::uint32_t gen) {
   for (const EdgeRef& succ : graph_.successors(task)) {
     auto& pending = s_.unfinished_preds[static_cast<std::size_t>(succ.task)];
     ensure(pending > 0, "predecessor count underflow");
-    if (--pending == 0) {
-      s_.ready_pool.insert(std::upper_bound(s_.ready_pool.begin(),
-                                            s_.ready_pool.end(), succ.task),
-                           succ.task);
-    }
+    if (--pending == 0) add_ready(succ.task);
   }
   if (arrivals_ != nullptr) {
     const int wf =
@@ -691,10 +705,7 @@ void Run::on_workflow_arrival(int workflow) {
   const int end =
       s_.arrival_root_begin[static_cast<std::size_t>(workflow) + 1];
   for (int i = begin; i < end; ++i) {
-    const TaskId root = s_.arrival_roots[static_cast<std::size_t>(i)];
-    s_.ready_pool.insert(
-        std::upper_bound(s_.ready_pool.begin(), s_.ready_pool.end(), root),
-        root);
+    add_ready(s_.arrival_roots[static_cast<std::size_t>(i)]);
   }
   s_.epoch_trigger = true;  // fresh work for the idle pool
 }
@@ -922,9 +933,7 @@ void Run::restart_task(TaskId task) {
   if (options_.record_trace) {
     s_.task_records[static_cast<std::size_t>(task)] = TaskRecord{};
   }
-  s_.ready_pool.insert(
-      std::upper_bound(s_.ready_pool.begin(), s_.ready_pool.end(), task),
-      task);
+  add_ready(task);
 }
 
 /// Abandons the comm job occupying p's CPU mid-crash, accounting the
@@ -1117,12 +1126,17 @@ void Run::run_epoch(EpochObserver* observer) {
       if (s_.machine.proc(p).down) s_.down_scratch.push_back(p);
     }
   }
+  const std::span<const TaskId> newly_ready =
+      whole_pool_ ? std::span<const TaskId>(s_.ready_pool)
+                  : std::span<const TaskId>(newly_ready_);
+  whole_pool_ = false;
   EpochContext ctx(s_.now, index, graph_, topology_, comm_, s_.ready_pool,
-                   idle, s_.placement, levels_,
+                   newly_ready, idle, s_.placement, levels_,
                    faults_ != nullptr ? std::span<const ProcId>(s_.down_scratch)
                                       : std::span<const ProcId>(),
                    arrivals_, &s_.assign_scratch);
   policy_.on_epoch(ctx);
+  newly_ready_.clear();  // delivered; the next delta starts empty
   if (observer != nullptr) {
     observer->on_epoch_decided(index, ctx.assignments());
   }
@@ -1303,6 +1317,7 @@ SimCheckpoint EpochView::checkpoint(SimCheckpoint recycle) const {
 EpochContext::EpochContext(Time now, int epoch_index, const TaskGraph& graph,
                            const Topology& topology, const CommModel& comm,
                            std::span<const TaskId> ready_tasks,
+                           std::span<const TaskId> newly_ready,
                            std::span<const ProcId> idle_procs,
                            const std::vector<ProcId>& placement,
                            const std::vector<Time>& levels,
@@ -1315,6 +1330,7 @@ EpochContext::EpochContext(Time now, int epoch_index, const TaskGraph& graph,
       topology_(topology),
       comm_(comm),
       ready_tasks_(ready_tasks),
+      newly_ready_(newly_ready),
       idle_procs_(idle_procs),
       placement_(placement),
       levels_(levels),
@@ -1364,8 +1380,9 @@ SimResult ExecutionEngine::run() {
   detail::RunState state(topology_);
   detail::init_state(state, graph_, topology_, fault_model_.get(),
                      options_.arrivals, options_.record_trace);
+  std::vector<TaskId> newly_ready;
   Run run(graph_, topology_, comm_, policy_, options_, levels_, *routes_,
-          state, fault_model_.get(), options_.arrivals);
+          state, fault_model_.get(), options_.arrivals, newly_ready);
   return run.execute(nullptr);
 }
 
@@ -1395,7 +1412,7 @@ SimResult ResumableEngine::run(EpochObserver* observer) {
   detail::init_state(*scratch_, graph_, topology_, fault_model_.get(),
                      options_.arrivals, options_.record_trace);
   Run run(graph_, topology_, comm_, policy_, options_, levels_, *routes_,
-          *scratch_, fault_model_.get(), options_.arrivals);
+          *scratch_, fault_model_.get(), options_.arrivals, newly_ready_);
   return run.execute(observer);
 }
 
@@ -1410,7 +1427,7 @@ SimResult ResumableEngine::resume(const SimCheckpoint& from,
   *scratch_ = *from.state_;
   scratch_->epoch_trigger = true;
   Run run(graph_, topology_, comm_, policy_, options_, levels_, *routes_,
-          *scratch_, fault_model_.get(), options_.arrivals);
+          *scratch_, fault_model_.get(), options_.arrivals, newly_ready_);
   return run.execute(observer);
 }
 

@@ -241,9 +241,12 @@ class EpochObserver {
 /// core/incremental_cost.hpp for the damage-frontier argument).  The
 /// policy must be stateless across epochs (on_run_start is re-invoked on
 /// every resume, but epochs before the checkpoint are not re-played
-/// against the policy).  A per-run memo of values that stay fixed for the
-/// rest of the run once computed is allowed if on_run_start clears it: the
-/// resumed run refills it from the checkpoint's state.
+/// against the policy).  Two kinds of per-run policy state are allowed if
+/// on_run_start clears them, because the resumed run rebuilds them from
+/// the checkpoint's state: a memo of values that stay fixed for the rest
+/// of the run once computed, and an index over the ready pool fed from
+/// EpochContext::newly_ready — the first epoch of every run and every
+/// resume delivers the whole pool as its delta.
 class ResumableEngine {
  public:
   ResumableEngine(const TaskGraph& graph, const Topology& topology,
@@ -270,6 +273,7 @@ class ResumableEngine {
   std::unique_ptr<detail::RouteTable> routes_;
   std::unique_ptr<FaultModel> fault_model_;  ///< null on zero-fault path
   std::unique_ptr<detail::RunState> scratch_;  ///< reused across runs
+  std::vector<TaskId> newly_ready_;  ///< policy delta, reused across runs
 };
 
 /// Convenience wrapper: build an engine and run it.

@@ -41,6 +41,7 @@ class EpochContext {
   EpochContext(Time now, int epoch_index, const TaskGraph& graph,
                const Topology& topology, const CommModel& comm,
                std::span<const TaskId> ready_tasks,
+               std::span<const TaskId> newly_ready,
                std::span<const ProcId> idle_procs,
                const std::vector<ProcId>& placement,
                const std::vector<Time>& levels,
@@ -54,8 +55,22 @@ class EpochContext {
   const Topology& topology() const { return topology_; }
   const CommModel& comm() const { return comm_; }
 
-  /// Ready, unassigned tasks in ascending id order.
+  /// Ready, unassigned tasks in ascending id order.  Reading all of it
+  /// costs O(|ready|) per epoch; at workflow scale thousands of tasks are
+  /// ready while about one is assigned, so rank-ordered policies keep an
+  /// index fed from newly_ready() instead (sched/policy.hpp).
   std::span<const TaskId> ready_tasks() const { return ready_tasks_; }
+
+  /// The tasks that entered the ready pool since this policy's previous
+  /// on_epoch call in the same run, in no particular order: successors
+  /// whose last predecessor finished, workflow roots released by an
+  /// arrival, and tasks a machine crash sent back to the pool.  The delta
+  /// accumulates over epochs at which the policy is not called (no idle
+  /// processor) and holds no task twice.  The first call after
+  /// on_run_start — of a fresh run and of every ResumableEngine::resume —
+  /// delivers the whole pool.  So ready_tasks() is always the previous
+  /// call's ready_tasks(), minus the tasks it assigned, plus this.
+  std::span<const TaskId> newly_ready() const { return newly_ready_; }
 
   /// Idle processors in ascending id order.
   std::span<const ProcId> idle_procs() const { return idle_procs_; }
@@ -95,6 +110,7 @@ class EpochContext {
   const Topology& topology_;
   const CommModel& comm_;
   std::span<const TaskId> ready_tasks_;
+  std::span<const TaskId> newly_ready_;
   std::span<const ProcId> idle_procs_;
   const std::vector<ProcId>& placement_;
   const std::vector<Time>& levels_;

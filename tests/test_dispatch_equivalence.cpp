@@ -1,12 +1,16 @@
-// Dispatch equivalence: the rank-ordered policies of src/sched select only
-// the k = min(|ready|, |idle|) tasks they can assign at each epoch (top-k
-// selection for HLF, list-hlf and dagprio; the shared PinnedDispatch for
-// pinned, repin and HEFT/PEFT), and ETF looks up per-run memoized start
-// costs.  This file keeps reference copies of the full-sort (and, for
-// ETF, recompute-every-epoch) dispatch rules those policies implement and
+// Dispatch equivalence: the rank-ordered policies of src/sched keep the
+// ready pool in a per-run ReadyIndex fed from the engine's newly-ready
+// delta and take only the k = min(|ready|, |idle|) tasks they can assign
+// at each epoch (HLF, list-hlf and offline dagprio from one lane; pinned,
+// repin and HEFT/PEFT from one lane per target processor through the
+// shared PinnedDispatch), and ETF looks up per-run memoized start costs.
+// This file keeps reference copies of the full-sort (and, for ETF,
+// recompute-every-epoch) dispatch rules those policies implement and
 // requires the same per-epoch assignment sequence, makespan and
 // placement — on seeded random, fork-join and tie-heavy graphs, with no
-// faults, with machine crashes, and with deadline-bearing arrivals.
+// faults, with machine crashes, and with deadline-bearing arrivals; on
+// every resume from a checkpoint; through HEFT/PEFT replans and repins;
+// and for policy instances reused across graphs and after aborted runs.
 
 #include <gtest/gtest.h>
 
@@ -683,6 +687,170 @@ TEST(DispatchEquivalence, EtfResumeMatchesFullRun) {
   const sim::SimResult got = sim::simulate(other, machine, comm, reused);
   EXPECT_EQ(got.makespan, want.makespan);
   EXPECT_EQ(got.placement, want.placement);
+}
+
+/// Records every decision and keeps a checkpoint of every `stride`-th
+/// epoch.
+class RecordAndCheckpoint final : public sim::EpochObserver {
+ public:
+  explicit RecordAndCheckpoint(int stride) : stride_(stride) {}
+  void on_epoch(const sim::EpochView& epoch) override {
+    if (stride_ > 0 && epoch.epoch_index() % stride_ == 0) {
+      checkpoints.push_back(epoch.checkpoint());
+    }
+  }
+  void on_epoch_decided(int epoch_index,
+                        std::span<const sim::Assignment> assignments) override {
+    for (const sim::Assignment& a : assignments) {
+      decisions.emplace_back(epoch_index, a.task, a.proc);
+    }
+  }
+  std::vector<sim::SimCheckpoint> checkpoints;
+  std::vector<Decision> decisions;
+
+ private:
+  int stride_;
+};
+
+sim::SimOptions options_for(const Instance& inst) {
+  sim::SimOptions options;
+  options.record_trace = false;
+  if (inst.faults) options.faults = &*inst.faults;
+  if (inst.arrivals) options.arrivals = &*inst.arrivals;
+  return options;
+}
+
+sim::FaultSpec crash_spec() {
+  sim::FaultSpec crashes;
+  crashes.machine_mtbf = us(std::int64_t{250});
+  crashes.machine_mttr = us(std::int64_t{120});
+  crashes.seed = 17;
+  return crashes;
+}
+
+TEST(DispatchEquivalence, EveryPolicyResumesLikeItsFullRun) {
+  // Every indexed policy rebuilds its index from the first epoch's delta
+  // after a resume: resumed from every 7th checkpoint, it must repeat the
+  // full run's decisions from that epoch on — and the full run must match
+  // the full-scan reference.
+  for (const bool faulty : {false, true}) {
+    Instance inst = make_instance(
+        faulty ? "gnp500/crash" : "gnp500",
+        gnp(500, 31, us(std::int64_t{5}), us(std::int64_t{50}),
+            us(std::int64_t{16})));
+    if (faulty) inst.faults = crash_spec();
+    for (const PolicyPair& pair : policy_pairs()) {
+      SCOPED_TRACE(inst.name + " / " + pair.name);
+      const std::unique_ptr<sim::SchedulingPolicy> reference =
+          pair.reference(inst);
+      const std::unique_ptr<sim::SchedulingPolicy> subject =
+          pair.subject(inst);
+      const Outcome want = run_policy(inst, *reference);
+      sim::ResumableEngine engine(inst.graph, inst.topology, inst.comm,
+                                  *subject, options_for(inst));
+      RecordAndCheckpoint full_run(7);
+      const sim::SimResult full = engine.run(&full_run);
+      ASSERT_EQ(full_run.decisions, want.decisions);
+      ASSERT_GT(full_run.checkpoints.size(), 2u);
+      for (const sim::SimCheckpoint& cp : full_run.checkpoints) {
+        RecordAndCheckpoint resumed_run(0);
+        const sim::SimResult resumed = engine.resume(cp, &resumed_run);
+        const auto suffix = std::find_if(
+            full_run.decisions.begin(), full_run.decisions.end(),
+            [&cp](const Decision& d) {
+              return std::get<0>(d) >= cp.epoch_index();
+            });
+        ASSERT_TRUE(std::equal(resumed_run.decisions.begin(),
+                               resumed_run.decisions.end(), suffix,
+                               full_run.decisions.end()))
+            << "resume from epoch " << cp.epoch_index();
+        EXPECT_EQ(resumed.makespan, full.makespan);
+        EXPECT_EQ(resumed.placement, full.placement);
+        EXPECT_EQ(resumed.num_task_restarts, full.num_task_restarts);
+      }
+    }
+  }
+}
+
+TEST(DispatchEquivalence, FaultRepairPathsAreExercised) {
+  // The crash instances of MachineCrashes must actually drive the repair
+  // paths the index serves: repinned tasks merged from down processors'
+  // lanes, and replans that re-file the ready set under a new plan.
+  for (auto& [name, graph] : graph_families()) {
+    if (name != "gnp500" && name != "gnp2000") continue;
+    Instance inst = make_instance(name + "/crash", std::move(graph));
+    inst.faults = crash_spec();
+    SCOPED_TRACE(inst.name);
+    for (const sched::HeftVariant variant :
+         {sched::HeftVariant::Heft, sched::HeftVariant::Peft}) {
+      sched::HeftScheduler repin(variant, sched::FaultResponse::Repin);
+      const Outcome repinned_run = run_policy(inst, repin);
+      int repinned = 0;
+      for (const auto& [epoch, task, proc] : repinned_run.decisions) {
+        if (repin.plan().tasks[static_cast<std::size_t>(task)].proc != proc) {
+          ++repinned;
+        }
+      }
+      EXPECT_GT(repinned, 0) << "no HEFT/PEFT repin moved a task";
+
+      sched::HeftScheduler replan(variant, sched::FaultResponse::Replan);
+      (void)run_policy(inst, replan);
+      const sched::ListSchedule initial =
+          sched::heft_schedule(inst.graph, inst.topology, inst.comm, variant);
+      int moved = 0;
+      for (std::size_t t = 0; t < initial.tasks.size(); ++t) {
+        if (replan.plan().tasks[t].proc != initial.tasks[t].proc) ++moved;
+      }
+      EXPECT_GT(moved, 0) << "no replan changed the plan";
+    }
+    const std::vector<ProcId> mapping = random_mapping(inst);
+    sched::RepinScheduler repin(mapping);
+    int repinned = 0;
+    for (const auto& [epoch, task, proc] : run_policy(inst, repin).decisions) {
+      if (mapping[static_cast<std::size_t>(task)] != proc) ++repinned;
+    }
+    EXPECT_GT(repinned, 0) << "no repin moved a task";
+  }
+}
+
+TEST(DispatchEquivalence, PoliciesReusedAcrossGraphsAndAbortedRuns) {
+  // A policy instance carries its index from run to run; on_run_start must
+  // drop it.  Each subject first runs another graph (a different size,
+  // with crashes), then a run aborted mid-way with tasks still indexed,
+  // and must then decide exactly like the reference on the target.
+  Instance first = make_instance(
+      "gnp700/crash", gnp(700, 41, us(std::int64_t{5}), us(std::int64_t{50}),
+                          us(std::int64_t{16})));
+  first.faults = crash_spec();
+  const Instance target = make_instance(
+      "gnp300", gnp(300, 42, us(std::int64_t{5}), us(std::int64_t{50}),
+                    us(std::int64_t{16})));
+  for (const PolicyPair& pair : policy_pairs()) {
+    SCOPED_TRACE(pair.name);
+    const std::unique_ptr<sim::SchedulingPolicy> reference =
+        pair.reference(target);
+    const Outcome want = run_policy(target, *reference);
+    const std::unique_ptr<sim::SchedulingPolicy> subject =
+        pair.subject(target);
+    // Mappings and priority lists are per graph; the other policies are
+    // built the same for any instance, so they can run `first` too.
+    const bool per_graph = pair.name == "pinned" || pair.name == "repin" ||
+                           pair.name == "list-hlf";
+    if (!per_graph) (void)run_policy(first, *subject);
+    sim::SimOptions aborted = options_for(target);
+    aborted.max_events = 400;
+    sim::ResumableEngine engine(target.graph, target.topology, target.comm,
+                                *subject, aborted);
+    EXPECT_THROW((void)engine.run(), sim::SimulationError);
+    EXPECT_EQ(run_policy(target, *subject).decisions, want.decisions);
+  }
+  // Pinned replays reuse one scheduler across mappings (set_mapping).
+  sched::PinnedScheduler pinned(random_mapping(first));
+  (void)run_policy(first, pinned);
+  pinned.set_mapping(random_mapping(target));
+  RefPinned ref_pinned(random_mapping(target), false);
+  EXPECT_EQ(run_policy(target, pinned).decisions,
+            run_policy(target, ref_pinned).decisions);
 }
 
 }  // namespace

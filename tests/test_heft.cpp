@@ -505,6 +505,80 @@ TEST(HeftSchedule, InsertionSearchMatchesReferenceOnZeroLengthAndAlignedSlots) {
   }
 }
 
+/// Tasks of `plan` that slid into a gap: placed before a slot that an
+/// earlier-placed task already held on the same processor.
+int gap_placements(const sched::ListSchedule& plan, int num_procs) {
+  std::vector<Time> latest_finish(static_cast<std::size_t>(num_procs), 0);
+  int count = 0;
+  for (const TaskId task : plan.priority) {
+    const sched::ListScheduleEntry& entry =
+        plan.tasks[static_cast<std::size_t>(task)];
+    Time& latest = latest_finish[static_cast<std::size_t>(entry.proc)];
+    if (entry.start < latest) ++count;
+    latest = std::max(latest, entry.finish);
+  }
+  return count;
+}
+
+TEST(HeftSchedule, GapSearchMatchesReferenceWhenCommDwarfsDurations) {
+  // Wire times 20-100x the durations: a task's inputs arrive long after
+  // its processor's last slot ends, which leaves wide gaps that later,
+  // less-constrained tasks slide into — the max-gap tree's mid-timeline
+  // inserts and rebuilds, and its descent past gaps too narrow to hold.
+  std::vector<TaskGraph> graphs;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    gen::GnpDagOptions options;
+    options.num_tasks = 150 * static_cast<int>(seed);
+    options.edge_probability = 3.0 / options.num_tasks;
+    options.min_duration = us(std::int64_t{1});
+    options.max_duration = us(std::int64_t{5});
+    options.min_weight = us(std::int64_t{100});
+    options.max_weight = us(std::int64_t{500});
+    options.seed = seed;
+    graphs.push_back(gen::gnp_dag(options));
+  }
+  {
+    gen::LayeredDagOptions options;
+    options.layers = 12;
+    options.max_width = 24;
+    options.min_duration = us(std::int64_t{1});
+    options.max_duration = us(std::int64_t{3});
+    options.min_weight = us(std::int64_t{50});
+    options.max_weight = us(std::int64_t{300});
+    options.seed = 9;
+    graphs.push_back(gen::layered_dag(options));
+  }
+
+  const std::vector<char> some_excluded = {1, 0, 0, 1, 0, 1, 0, 0};
+  const CommModel comm = CommModel::paper_default();
+  int in_gaps = 0;
+  int placed = 0;
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    for (const Topology& machine : {topo::hypercube(3), topo::ring(5)}) {
+      for (const std::vector<char>* mask :
+           {static_cast<const std::vector<char>*>(nullptr), &some_excluded}) {
+        for (const sched::HeftVariant variant :
+             {sched::HeftVariant::Heft, sched::HeftVariant::Peft}) {
+          SCOPED_TRACE("graph " + std::to_string(i) + " on " +
+                       machine.name() + (mask != nullptr ? " masked " : " ") +
+                       (variant == sched::HeftVariant::Peft ? "peft"
+                                                            : "heft"));
+          const sched::ListSchedule plan =
+              sched::heft_schedule(graphs[i], machine, comm, variant, mask);
+          expect_same_plan(plan, linear_scan_schedule(graphs[i], machine,
+                                                      comm, variant, mask));
+          in_gaps += gap_placements(plan, machine.num_procs());
+          placed += graphs[i].num_tasks();
+        }
+      }
+    }
+  }
+  // The instances must exercise the gap search, not only appends.
+  RecordProperty("gap_placements", in_gaps);
+  RecordProperty("placements", placed);
+  EXPECT_GT(in_gaps, placed / 4) << in_gaps << " of " << placed;
+}
+
 TEST(HeftScheduler, SimulatedSchedulesAreValidOnRandomInstances) {
   Rng rng(42);
   for (int round = 0; round < 12; ++round) {

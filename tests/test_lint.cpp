@@ -145,6 +145,8 @@ INSTANTIATE_TEST_SUITE_P(
                       FixtureCase{"bare_assert_allowed.cpp", false},
                       FixtureCase{"locale_number_bad.cpp", true},
                       FixtureCase{"locale_number_allowed.cpp", false},
+                      FixtureCase{"ready_scan_bad.cpp", true},
+                      FixtureCase{"ready_scan_allowed.cpp", false},
                       FixtureCase{"lint_allow_bad.cpp", true}),
     [](const ::testing::TestParamInfo<FixtureCase>& info) {
       std::string name = info.param.name;
@@ -183,6 +185,20 @@ TEST(LintScope, FloatFormatOnlyFiresInWriterPaths) {
           .empty());
   EXPECT_TRUE(
       dagsched::lint::lint_source("src/core/cost.cpp", source, options)
+          .empty());
+}
+
+TEST(LintScope, ReadyScanOnlyFiresInPolicyPaths) {
+  const std::string source =
+      "int count(const Context& ctx) { return ctx.ready_tasks().size(); }\n";
+  const LintOptions options = dagsched::lint::default_options();
+  EXPECT_FALSE(
+      dagsched::lint::lint_source("src/sched/hlf.cpp", source, options)
+          .empty());
+  // The SA packet former and the oracle's epoch observer read the whole
+  // ready set by design and live outside src/sched/.
+  EXPECT_TRUE(
+      dagsched::lint::lint_source("src/core/packet.cpp", source, options)
           .empty());
 }
 
@@ -236,7 +252,7 @@ TEST(LintSuppress, AllowOnSameLineAndLineAbove) {
 TEST(LintCli, KnownChecksAreStable) {
   const std::vector<std::string> expected = {
       "wall-clock", "unordered-iter", "rng-stream", "float-format",
-      "bare-assert", "locale-number"};
+      "bare-assert", "locale-number", "ready-scan"};
   EXPECT_EQ(dagsched::lint::known_checks(), expected);
 }
 

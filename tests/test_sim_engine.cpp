@@ -8,10 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <optional>
+
+#include "graph/generators.hpp"
 #include "sched/pinned.hpp"
+#include "sim/arrivals.hpp"
 #include "sim/engine.hpp"
 #include "sim/validate.hpp"
 #include "topology/builders.hpp"
+#include "util/rng.hpp"
 
 namespace dagsched {
 namespace {
@@ -298,6 +305,175 @@ TEST(Engine, EpochsOnlyAtIdleInstants) {
   EXPECT_EQ(result.trace.epochs[2].when, us(std::int64_t{20}));
   EXPECT_EQ(result.trace.epochs[0].ready_tasks, 3);
   EXPECT_EQ(result.trace.epochs[1].ready_tasks, 2);
+}
+
+// ---------------------------------------------------------------------------
+// The newly-ready delta (EpochContext::newly_ready): at every epoch the
+// previous epoch's ready set, minus the tasks assigned there, plus the
+// delta must be exactly the ready set, with no task twice; the first epoch
+// of a run or a resume delivers the whole pool.
+
+/// Checks the delta contract at every epoch, then assigns a seeded random
+/// selection (a pure function of the epoch, so resumes replay it).
+class DeltaChecker : public sim::SchedulingPolicy {
+ public:
+  void on_run_start(const TaskGraph& graph, const Topology&,
+                    const CommModel&) override {
+    first_ = true;
+    expected_.clear();
+    assigned_.assign(static_cast<std::size_t>(graph.num_tasks()), 0);
+    delivered = 0;
+    returned = 0;
+    epochs = 0;
+  }
+
+  void on_epoch(sim::EpochContext& ctx) override {
+    ++epochs;
+    const std::vector<TaskId> ready(ctx.ready_tasks().begin(),
+                                    ctx.ready_tasks().end());
+    std::vector<TaskId> delta(ctx.newly_ready().begin(),
+                              ctx.newly_ready().end());
+    std::sort(delta.begin(), delta.end());
+    EXPECT_EQ(std::adjacent_find(delta.begin(), delta.end()), delta.end())
+        << "a task twice in the delta at epoch " << ctx.epoch_index();
+    if (first_) {
+      EXPECT_EQ(delta, ready) << "first epoch must deliver the whole pool";
+      first_ = false;
+    } else {
+      std::vector<TaskId> overlap;
+      std::set_intersection(expected_.begin(), expected_.end(), delta.begin(),
+                            delta.end(), std::back_inserter(overlap));
+      EXPECT_TRUE(overlap.empty())
+          << "delta repeats a task still ready at epoch "
+          << ctx.epoch_index();
+      std::vector<TaskId> merged;
+      std::set_union(expected_.begin(), expected_.end(), delta.begin(),
+                     delta.end(), std::back_inserter(merged));
+      EXPECT_EQ(merged, ready) << "at epoch " << ctx.epoch_index();
+    }
+    delivered += static_cast<int>(delta.size());
+    for (const TaskId task : delta) {
+      if (assigned_[static_cast<std::size_t>(task)]) ++returned;
+    }
+
+    std::vector<TaskId> pick = ready;
+    std::vector<ProcId> procs(ctx.idle_procs().begin(),
+                              ctx.idle_procs().end());
+    Rng rng = Rng::stream(29, static_cast<std::uint64_t>(ctx.epoch_index()));
+    rng.shuffle(pick);
+    pick.resize(std::min(pick.size(), procs.size()));
+    for (std::size_t i = 0; i < pick.size(); ++i) {
+      ctx.assign(pick[i], procs[i]);
+      assigned_[static_cast<std::size_t>(pick[i])] = 1;
+    }
+    std::sort(pick.begin(), pick.end());
+    expected_.clear();
+    std::set_difference(ready.begin(), ready.end(), pick.begin(), pick.end(),
+                        std::back_inserter(expected_));
+  }
+
+  std::string name() const override { return "delta-checker"; }
+
+  int delivered = 0;  ///< delta entries since on_run_start
+  int returned = 0;   ///< of which tasks this run had assigned before
+  int epochs = 0;
+
+ private:
+  bool first_ = true;
+  std::vector<TaskId> expected_;  ///< last ready set minus assignments
+  std::vector<char> assigned_;
+};
+
+/// Keeps a checkpoint of every `stride`-th epoch.
+class EveryNthCheckpoint final : public sim::EpochObserver {
+ public:
+  explicit EveryNthCheckpoint(int stride) : stride_(stride) {}
+  void on_epoch(const sim::EpochView& epoch) override {
+    if (epoch.epoch_index() % stride_ == 0) {
+      checkpoints.push_back(epoch.checkpoint());
+    }
+  }
+  std::vector<sim::SimCheckpoint> checkpoints;
+
+ private:
+  int stride_;
+};
+
+TaskGraph delta_graph(int n, std::uint64_t seed) {
+  gen::GnpDagOptions options;
+  options.num_tasks = n;
+  options.edge_probability = 6.0 / static_cast<double>(n - 1);
+  options.seed = seed;
+  return gen::gnp_dag(options);
+}
+
+/// A full run plus a resume from every 5th checkpoint, each checked by a
+/// DeltaChecker; returns the full run's checker.
+DeltaChecker check_delta_runs(const TaskGraph& graph,
+                              const sim::FaultSpec* faults,
+                              const sim::ArrivalPlan* arrivals) {
+  const Topology machine = topo::hypercube(3);
+  const CommModel comm = CommModel::paper_default();
+  sim::SimOptions options;
+  options.record_trace = false;
+  options.faults = faults;
+  options.arrivals = arrivals;
+  DeltaChecker checker;
+  sim::ResumableEngine engine(graph, machine, comm, checker, options);
+  EveryNthCheckpoint capture(5);
+  const sim::SimResult full = engine.run(&capture);
+  EXPECT_FALSE(full.failed);
+  EXPECT_EQ(checker.epochs, full.num_epochs);
+  // Every task enters the pool once, plus once per return.
+  EXPECT_EQ(checker.delivered, graph.num_tasks() + checker.returned);
+  const DeltaChecker result = checker;
+  EXPECT_GT(capture.checkpoints.size(), 2u);
+  for (const sim::SimCheckpoint& cp : capture.checkpoints) {
+    SCOPED_TRACE("resume from epoch " + std::to_string(cp.epoch_index()));
+    const sim::SimResult resumed = engine.resume(cp);
+    EXPECT_EQ(resumed.makespan, full.makespan);
+    EXPECT_EQ(resumed.placement, full.placement);
+    EXPECT_EQ(checker.epochs, full.num_epochs - cp.epoch_index());
+  }
+  // A plain ExecutionEngine run honours the same contract.
+  DeltaChecker plain;
+  const sim::SimResult again =
+      sim::simulate(graph, machine, comm, plain, options);
+  EXPECT_EQ(again.makespan, full.makespan);
+  EXPECT_EQ(plain.delivered, result.delivered);
+  return result;
+}
+
+TEST(EngineNewlyReady, FreshRunAndResumes) {
+  const DeltaChecker checker = check_delta_runs(delta_graph(300, 5), nullptr,
+                                                nullptr);
+  EXPECT_EQ(checker.returned, 0);
+}
+
+TEST(EngineNewlyReady, CrashedTasksReappear) {
+  sim::FaultSpec crashes;
+  crashes.machine_mtbf = us(std::int64_t{1000});
+  crashes.machine_mttr = us(std::int64_t{100});
+  crashes.seed = 17;
+  const DeltaChecker checker = check_delta_runs(delta_graph(300, 6), &crashes,
+                                                nullptr);
+  EXPECT_GT(checker.returned, 0) << "no crash sent a task back to the pool";
+}
+
+TEST(EngineNewlyReady, ArrivalsReleaseRoots) {
+  sim::ArrivalSpec spec;
+  spec.num_workflows = 10;
+  spec.mean_gap = us(std::int64_t{150});
+  spec.burst_prob = 0.4;
+  spec.burst_mult = 6.0;
+  spec.seed = 3;
+  sim::ArrivalPlan plan;
+  const TaskGraph graph = sim::build_arrival_instance(
+      spec,
+      [](int, std::uint64_t graph_seed) { return delta_graph(40, graph_seed); },
+      plan);
+  const DeltaChecker checker = check_delta_runs(graph, nullptr, &plan);
+  EXPECT_EQ(checker.returned, 0);
 }
 
 }  // namespace
