@@ -116,31 +116,6 @@ void BM_MoveDelta(benchmark::State& state) {
 }
 BENCHMARK(BM_MoveDelta)->Arg(8)->Arg(32)->Arg(128);
 
-void BM_MoveDeltaBatch(benchmark::State& state) {
-  // The SoA pricing primitive: slot_move_totals streams two contiguous
-  // per-slot columns and prices moving every task between them in one
-  // vectorized loop; items = priced moves, directly comparable to
-  // BM_MoveDelta's one-at-a-time rate.
-  const Topology topology = topo::hypercube(3);
-  const CommModel comm = CommModel::paper_default();
-  const sa::AnnealingPacket packet =
-      synthetic_packet(static_cast<int>(state.range(0)), topology);
-  const sa::PacketCostModel cost(packet, topology, comm, 0.5, 0.5);
-  std::vector<double> totals(static_cast<std::size_t>(cost.num_tasks()));
-  int from = 0;
-  int to = 1;
-  for (auto _ : state) {
-    cost.slot_move_totals(from, to, totals);
-    benchmark::DoNotOptimize(totals.data());
-    benchmark::ClobberMemory();
-    // Rotate the slot pair so the run covers every column.
-    to = to + 1 == cost.num_procs() ? 0 : to + 1;
-    if (to == from) from = from + 1 == cost.num_procs() ? 0 : from + 1;
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_MoveDeltaBatch)->Arg(8)->Arg(32)->Arg(128);
-
 void BM_AnnealPacket(benchmark::State& state) {
   const Topology topology = topo::hypercube(3);
   const CommModel comm = CommModel::paper_default();
@@ -227,37 +202,6 @@ BENCHMARK_CAPTURE(BM_GlobalOracle, incremental,
                   sa::CostOracleKind::kIncremental)
     ->Arg(128)
     ->UseRealTime();
-
-void BM_GlobalOracleBatch(benchmark::State& state) {
-  // Batched oracle pricing head to head with one-at-a-time proposing:
-  // the exact BM_GlobalOracle/incremental workload (same graph, seed and
-  // trajectory — batching is bit-compatible for any cap), with range(0)
-  // as GlobalAnnealOptions::batch_proposals.  /1 disables batching, so
-  // the /16 and /64 rows isolate what price_batch amortization buys.
-  gen::GnpDagOptions options;
-  options.num_tasks = 128;
-  options.edge_probability = 6.0 / 128.0;
-  options.seed = 42;
-  const TaskGraph graph = gen::gnp_dag(options);
-  const Topology topology = topo::hypercube(3);
-  const CommModel comm = CommModel::paper_default();
-
-  sa::GlobalAnnealOptions anneal;
-  anneal.num_chains = 1;
-  anneal.seed = 7;
-  anneal.oracle = sa::CostOracleKind::kIncremental;
-  anneal.batch_proposals = static_cast<int>(state.range(0));
-
-  std::int64_t proposals = 0;
-  for (auto _ : state) {
-    const sa::GlobalAnnealResult result =
-        sa::anneal_global(graph, topology, comm, anneal);
-    proposals += result.simulations;
-    benchmark::DoNotOptimize(result.makespan);
-  }
-  state.SetItemsProcessed(proposals);  // proposed moves per second
-}
-BENCHMARK(BM_GlobalOracleBatch)->Arg(1)->Arg(16)->Arg(64)->UseRealTime();
 
 void BM_AnnealGlobal(benchmark::State& state) {
   // Whole-schedule annealing; range(0) is the chain count (0 = auto).

@@ -68,9 +68,8 @@ PacketCostModel::PacketCostModel(const AnnealingPacket& packet,
 
   // Flatten everything the inner loop reads into dense tables: per-task
   // levels and the eq. 4 input-message sum of every (task, proc slot)
-  // pair, laid out slot-major (SoA) — one contiguous per-task column per
-  // processor slot — so batched pricing over a slot pair streams two
-  // columns instead of gathering strided rows.
+  // pair, laid out slot-major (one contiguous per-task column per
+  // processor slot).
   level_us_.resize(static_cast<std::size_t>(num_tasks_));
   comm_table_.resize(static_cast<std::size_t>(num_tasks_) *
                      static_cast<std::size_t>(num_procs_));
@@ -129,41 +128,6 @@ MoveDelta PacketCostModel::move_parts(const Move& move) const {
   }
   delta.d_total = total_of(delta.d_load, delta.d_comm);
   return delta;
-}
-
-void PacketCostModel::move_parts_batch(std::span<const Move> moves,
-                                       std::span<MoveDelta> out) const {
-  require(out.size() >= moves.size(),
-          "PacketCostModel::move_parts_batch: output span too small");
-  // Homogeneous Move-kind batches (the annealer's dominant case when
-  // num_tasks > num_procs is false) reduce to two column reads; the
-  // compiler vectorizes this loop because move_parts inlines to straight
-  // table arithmetic with no stores besides out[i].
-  for (std::size_t i = 0; i < moves.size(); ++i) {
-    out[i] = move_parts(moves[i]);
-  }
-}
-
-void PacketCostModel::slot_move_totals(int from_slot, int to_slot,
-                                       std::span<double> out) const {
-  require(from_slot >= 0 && from_slot < num_procs_ && to_slot >= 0 &&
-              to_slot < num_procs_,
-          "PacketCostModel::slot_move_totals: bad processor slot");
-  require(out.size() >= static_cast<std::size_t>(num_tasks_),
-          "PacketCostModel::slot_move_totals: output span too small");
-  const double* from = comm_table_.data() +
-                       static_cast<std::size_t>(from_slot) *
-                           static_cast<std::size_t>(num_tasks_);
-  const double* to = comm_table_.data() +
-                     static_cast<std::size_t>(to_slot) *
-                         static_cast<std::size_t>(num_tasks_);
-  // Identical arithmetic to move_parts on a Move-kind move: d_comm =
-  // to - from, d_load = 0, total = comm_scale_ * d_comm + load_scale_ * 0.
-  // The explicit `+ load_scale_ * 0.0` is kept so the result is bit-equal
-  // to total_of() even under a negative-zero load_scale_.
-  for (std::size_t t = 0; t < static_cast<std::size_t>(num_tasks_); ++t) {
-    out[t] = comm_scale_ * (to[t] - from[t]) + load_scale_ * 0.0;
-  }
 }
 
 }  // namespace dagsched::sa

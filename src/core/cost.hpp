@@ -24,18 +24,13 @@
 // branches), so the annealer's inner loop does no input-list walks, no
 // routed-distance derivations and no allocation.
 //
-// The comm table is laid out SoA, *slot-major*: each processor slot owns
-// one contiguous column of per-task costs (comm_table_[slot * T + task])
-// rather than each task owning a row over slots.  Pricing a move touches
-// exactly the columns of its two slots, so batched pricing over a fixed
-// slot pair (slot_move_totals, and move_parts_batch on homogeneous
-// batches) reads contiguous doubles and auto-vectorizes; the scalar
-// accessors are the same two loads they always were.  The model owns its
-// tables and keeps no reference to the packet/topology/comm it was built
-// from, so it is freely copyable and safe to share across threads.
+// The comm table is laid out slot-major: each processor slot owns one
+// contiguous column of per-task costs (comm_table_[slot * T + task]).
+// The model owns its tables and keeps no reference to the
+// packet/topology/comm it was built from, so it is freely copyable and
+// safe to share across threads.
 
 #include <cassert>
-#include <span>
 #include <vector>
 
 #include "core/mapping.hpp"
@@ -96,32 +91,6 @@ class PacketCostModel {
                        static_cast<std::size_t>(task_index)];
   }
 
-  /// The SoA column of processor slot `proc_slot`: comm cost (us) of every
-  /// packet task on that slot, contiguous and indexed by task.
-  std::span<const double> comm_of_slot(int proc_slot) const {
-    // LINT-ALLOW(bare-assert): inner-loop SoA column fetch for the vectorized delta kernel
-    assert(proc_slot >= 0 && proc_slot < num_procs_);
-    return {comm_table_.data() + static_cast<std::size_t>(proc_slot) *
-                                     static_cast<std::size_t>(num_tasks_),
-            static_cast<std::size_t>(num_tasks_)};
-  }
-
-  /// Batched move pricing: out[i] = move_parts(moves[i]), bit for bit
-  /// (same table reads, same arithmetic order).  out must hold at least
-  /// moves.size() entries.  With the slot-major tables a homogeneous
-  /// Move-kind batch reads two contiguous columns, which the compiler
-  /// vectorizes; mixed batches fall back to per-element scalar pricing.
-  void move_parts_batch(std::span<const Move> moves,
-                        std::span<MoveDelta> out) const;
-
-  /// The fully vectorized pricing primitive: the normalized total delta
-  /// (eq. 6 units) of moving EVERY packet task from `from_slot` to
-  /// `to_slot`, written to out[task].  Two contiguous column reads and one
-  /// contiguous write — a pure SIMD loop.  Equals
-  /// move_parts({Move, t, -1, from_slot, to_slot}).d_total for each t.
-  void slot_move_totals(int from_slot, int to_slot,
-                        std::span<double> out) const;
-
   /// Level of packet task `task_index` in microseconds.
   double task_level_us(int task_index) const {
     // LINT-ALLOW(bare-assert): inner-loop table lookup on the annealer's per-move path
@@ -150,7 +119,7 @@ class PacketCostModel {
   double delta_fc_ = 1.0;
   double load_scale_ = 0.0;  ///< wb / dF_b
   double comm_scale_ = 0.0;  ///< wc / dF_c
-  /// Slot-major (SoA) eq. 4 sums: num_procs contiguous columns of
+  /// Slot-major eq. 4 sums: num_procs contiguous columns of
   /// num_tasks doubles each; entry [slot * num_tasks + task], in us.
   std::vector<double> comm_table_;
   std::vector<double> level_us_;    ///< per-task level (us)

@@ -64,37 +64,6 @@ GlobalAnnealResult anneal_chain(const TaskGraph& graph,
           : std::max(8, graph.num_tasks());
   result.history.reserve(static_cast<std::size_t>(options.cooling.max_steps));
 
-  // Batched proposing (CostOracle::price_batch).  A batch pre-draws up to
-  // `k` moves in the EXACT order and Rng-consumption pattern of the
-  // one-at-a-time loop — per move: task index, proc rejection loop,
-  // acceptance draw — under the assumption that every earlier move of the
-  // batch is rejected (the baseline, and with it every old_proc read, is
-  // then unchanged).  The Rng is snapshotted after each pre-drawn move
-  // (xoshiro256** state is four words; copies are free).  Walking the
-  // priced batch in order, the first acceptance invalidates the tail: the
-  // sequential loop would have drawn those moves against the *updated*
-  // mapping.  Rewinding the Rng to the accepted move's snapshot and
-  // starting the next batch reproduces the sequential trajectory bit for
-  // bit — for any batch size.  Discarded candidates cost batched pricing
-  // work, so the effective batch ramps geometrically from 1 after every
-  // acceptance: converged chains (the expensive part of a run, all
-  // rejections) price at the full cap while hot steps stay near
-  // sequential.
-  struct DrawnMove {
-    std::size_t task = 0;
-    ProcId old_proc = kInvalidProc;
-    ProcId new_proc = kInvalidProc;
-    double accept_draw = 0.0;
-  };
-  const int batch_cap = std::max(1, options.batch_proposals);
-  std::vector<DrawnMove> batch;
-  std::vector<Rng> rng_after;  ///< Rng state after each pre-drawn move
-  std::vector<CostOracle::MoveCandidate> candidates;
-  std::vector<Time> priced;
-  batch.reserve(static_cast<std::size_t>(batch_cap));
-  rng_after.reserve(static_cast<std::size_t>(batch_cap));
-  candidates.reserve(static_cast<std::size_t>(batch_cap));
-
   int stale_steps = 0;
   for (int step = 0; step < options.cooling.max_steps; ++step) {
     if (options.wall_budget_seconds > 0) {
@@ -109,61 +78,32 @@ GlobalAnnealResult anneal_chain(const TaskGraph& graph,
     const double temp = options.cooling.temperature(step);
     const Time best_before = result.makespan;
 
-    int batch_ramp = 1;  // effective batch; doubles per all-reject batch
-    int moves_done = 0;
-    while (moves_done < moves_per_temp) {
-      const int k =
-          std::min({batch_ramp, batch_cap, moves_per_temp - moves_done});
-      batch.clear();
-      rng_after.clear();
-      candidates.clear();
-      for (int j = 0; j < k; ++j) {
-        // Move: reassign a random task to a random different processor.
-        const auto task = rng.uniform_index(current.size());
-        const ProcId old_proc = current[task];
-        ProcId new_proc = old_proc;
-        while (new_proc == old_proc) {
-          new_proc = static_cast<ProcId>(rng.uniform_index(
-              static_cast<std::size_t>(topology.num_procs())));
-        }
-        const double accept_draw = rng.uniform01();
-        batch.push_back(DrawnMove{task, old_proc, new_proc, accept_draw});
-        candidates.push_back(CostOracle::MoveCandidate{
-            static_cast<TaskId>(task), new_proc});
-        rng_after.push_back(rng);
+    for (int move = 0; move < moves_per_temp; ++move) {
+      // Move: reassign a random task to a random different processor.
+      const auto task = rng.uniform_index(current.size());
+      const ProcId old_proc = current[task];
+      ProcId new_proc = old_proc;
+      while (new_proc == old_proc) {
+        new_proc = static_cast<ProcId>(rng.uniform_index(
+            static_cast<std::size_t>(topology.num_procs())));
       }
+      const double accept_draw = rng.uniform01();
 
-      oracle->price_batch(current, candidates, priced);
-
-      int consumed = k;
-      bool accepted = false;
-      for (int j = 0; j < k; ++j) {
-        const Time makespan = priced[static_cast<std::size_t>(j)];
-        ++result.simulations;
-        const double delta = to_us(makespan - current_makespan);
-        if (batch[static_cast<std::size_t>(j)].accept_draw <
-            boltzmann_acceptance(delta, temp)) {
-          const DrawnMove& move = batch[static_cast<std::size_t>(j)];
-          current[move.task] = move.new_proc;
-          // Memo hit on the incremental oracle: restores the oracle's
-          // trial state to this candidate without re-simulating.
-          oracle->propose(current, static_cast<TaskId>(move.task));
-          oracle->accept();
-          current_makespan = makespan;
-          if (makespan < result.makespan) {
-            result.makespan = makespan;
-            result.mapping = current;
-          }
-          consumed = j + 1;
-          if (j + 1 < k) {
-            rng = rng_after[static_cast<std::size_t>(j)];  // rewind tail
-          }
-          accepted = true;
-          break;
+      current[task] = new_proc;
+      const Time makespan =
+          oracle->propose(current, static_cast<TaskId>(task));
+      ++result.simulations;
+      const double delta = to_us(makespan - current_makespan);
+      if (accept_draw < boltzmann_acceptance(delta, temp)) {
+        oracle->accept();
+        current_makespan = makespan;
+        if (makespan < result.makespan) {
+          result.makespan = makespan;
+          result.mapping = current;
         }
+      } else {
+        current[task] = old_proc;
       }
-      moves_done += consumed;
-      batch_ramp = accepted ? 1 : std::min(batch_ramp * 2, batch_cap);
     }
 
     result.history.push_back(result.makespan);
@@ -193,8 +133,6 @@ GlobalAnnealResult anneal_global(const TaskGraph& graph,
   options.cooling.validate();
   require(options.patience >= 1, "anneal_global: bad patience");
   require(options.num_chains >= 0, "anneal_global: negative num_chains");
-  require(options.batch_proposals >= 1,
-          "anneal_global: batch_proposals must be at least 1");
 
   if (topology.num_procs() == 1) {
     // Nothing to move; replay the only possible placement once.

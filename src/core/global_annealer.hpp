@@ -53,20 +53,6 @@ struct GlobalAnnealOptions {
   /// this many consecutive temperature steps.
   int patience = 20;
 
-  /// Ceiling on how many proposals a chain pre-draws and prices per
-  /// CostOracle::price_batch call.  The chain snapshots its Rng after each
-  /// pre-drawn move and, when a batched move is accepted, rewinds to that
-  /// snapshot and discards the not-yet-consumed tail — so the visited
-  /// trajectory (mappings, makespans, accept decisions, simulation count)
-  /// is bit-identical to one-at-a-time proposing for ANY value here
-  /// (locked by the chain goldens and the batch equivalence suite).  The
-  /// *effective* batch ramps geometrically from 1 after every acceptance
-  /// up to this cap, so hot temperature steps (frequent accepts) do not
-  /// waste batched pricing work while converged chains (long rejection
-  /// stretches) amortize the per-call oracle overhead.  1 disables
-  /// batching; batches never span temperature steps.
-  int batch_proposals = 16;
-
   /// Top-level seed.  Chain c draws from Rng::stream(seed, c), so the
   /// whole run is deterministic for a fixed (seed, num_chains).
   std::uint64_t seed = 1;

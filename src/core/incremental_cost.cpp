@@ -53,23 +53,6 @@ CostOracleKind resolve_cost_oracle_kind(CostOracleKind kind,
   return resolve_cost_oracle_kind(kind);
 }
 
-void CostOracle::price_batch(const std::vector<ProcId>& baseline,
-                             std::span<const MoveCandidate> candidates,
-                             std::vector<Time>& makespans) {
-  // Reference implementation: price each candidate independently against
-  // the unchanged baseline.  propose()'s single-move contract holds for
-  // every iteration because the move is undone before the next one.
-  std::vector<ProcId> scratch = baseline;
-  makespans.clear();
-  makespans.reserve(candidates.size());
-  for (const MoveCandidate& c : candidates) {
-    const auto t = static_cast<std::size_t>(c.task);
-    scratch[t] = c.proc;
-    makespans.push_back(propose(scratch, c.task));
-    scratch[t] = baseline[t];
-  }
-}
-
 CostOracleStats& CostOracleStats::operator+=(const CostOracleStats& other) {
   proposals += other.proposals;
   noop_moves += other.noop_moves;
@@ -487,23 +470,6 @@ Time IncrementalReplay::propose(const std::vector<ProcId>& mapping,
   const Time makespan = price(mapping, resume_index, divergence);
   if (moved != kInvalidTask) memo_[memo_key] = makespan;
   return makespan;
-}
-
-void IncrementalReplay::price_batch(
-    const std::vector<ProcId>& baseline,
-    std::span<const MoveCandidate> candidates,
-    std::vector<Time>& makespans) {
-  require(baseline_valid_ && baseline == baseline_.mapping,
-          "IncrementalReplay::price_batch: baseline mismatch");
-  batch_scratch_ = baseline;
-  makespans.clear();
-  makespans.reserve(candidates.size());
-  for (const MoveCandidate& c : candidates) {
-    const auto t = static_cast<std::size_t>(c.task);
-    batch_scratch_[t] = c.proc;
-    makespans.push_back(propose(batch_scratch_, c.task));
-    batch_scratch_[t] = baseline[t];
-  }
 }
 
 void IncrementalReplay::accept() {

@@ -35,7 +35,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -110,31 +109,11 @@ class CostOracle {
  public:
   virtual ~CostOracle() = default;
 
-  /// One single-task move candidate for price_batch: reassign `task` to
-  /// `proc` (which must differ from the baseline's target for the task).
-  struct MoveCandidate {
-    TaskId task = kInvalidTask;
-    ProcId proc = kInvalidProc;
-  };
-
   /// Full replay of `mapping`; it becomes the accepted baseline.
   virtual Time reset(const std::vector<ProcId>& mapping) = 0;
 
   /// Exact simulated makespan of `mapping` (see the class contract).
   virtual Time propose(const std::vector<ProcId>& mapping, TaskId moved) = 0;
-
-  /// Prices every candidate as an independent single-task move against
-  /// the *same* baseline: makespans[j] is exactly what
-  /// propose(baseline with candidates[j] applied, candidates[j].task)
-  /// would return, for every j — candidates never compound.  `baseline`
-  /// must equal the current accepted baseline mapping.  After the call
-  /// the oracle's trial state is unspecified; to adopt a candidate,
-  /// re-propose it (a memo hit on the incremental oracle) and accept().
-  /// The base implementation loops propose() over a scratch mapping;
-  /// oracles override it to reuse workspace buffers across the batch.
-  virtual void price_batch(const std::vector<ProcId>& baseline,
-                           std::span<const MoveCandidate> candidates,
-                           std::vector<Time>& makespans);
 
   /// Adopts the mapping of the last propose() as the new baseline.
   virtual void accept() = 0;
@@ -201,12 +180,6 @@ class IncrementalReplay final : public CostOracle {
 
   Time reset(const std::vector<ProcId>& mapping) override;
   Time propose(const std::vector<ProcId>& mapping, TaskId moved) override;
-  /// Workspace-reusing batch pricing: same results as the base loop, but
-  /// the per-candidate mapping mutations run on a member scratch buffer
-  /// and repeated candidates collapse into the per-baseline memo.
-  void price_batch(const std::vector<ProcId>& baseline,
-                   std::span<const MoveCandidate> candidates,
-                   std::vector<Time>& makespans) override;
   void accept() override;
   const CostOracleStats& stats() const override { return stats_; }
   std::string name() const override { return "incremental"; }
@@ -288,7 +261,6 @@ class IncrementalReplay final : public CostOracle {
   /// Retired snapshots whose state buffers the recorder recycles
   /// (EpochView::checkpoint(recycle)); bounded by max_checkpoints.
   std::vector<sim::SimCheckpoint> checkpoint_pool_;
-  std::vector<ProcId> batch_scratch_;  ///< price_batch candidate mapping
 };
 
 /// Factory used by anneal_global and tests.  With an active `faults` spec

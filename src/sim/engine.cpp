@@ -483,6 +483,10 @@ class Run {
   void on_link_up(ChannelId channel_id);
   void on_msg_timeout(int message, std::uint32_t attempt);
   void on_msg_retry(int message, std::uint32_t attempt);
+#if defined(__GNUC__) || defined(__clang__)
+  __attribute__((noinline, cold))
+#endif
+  bool stalled_under_faults() const;
 
   // --- online arrivals -----------------------------------------------------
 #if defined(__GNUC__) || defined(__clang__)
@@ -919,6 +923,38 @@ void Run::handle_fault_event(const Event& event) {
   }
 }
 
+/// The fault-path twin of the empty-queue stall check.  Fault cursors
+/// keep adding events forever, so under injection the queue never runs
+/// dry; instead the run is stuck when the policy was offered every ready
+/// task on every processor and assigned nothing: ready work waits, no
+/// processor is down, running, reserved or busy with comm work (a stall
+/// window counts as comm work), and no task, comm, transfer or arrival
+/// event is pending.  Only fault events remain, and none of them adds
+/// ready work or frees a processor the policy has not already seen — the
+/// same state in which a zero-fault run finds its queue empty.
+bool Run::stalled_under_faults() const {
+  if (s_.ready_pool.empty()) return false;
+  for (ProcId p = 0; p < topology_.num_procs(); ++p) {
+    const ProcessorState& proc = s_.machine.proc(p);
+    if (!proc.idle_for_scheduling() || proc.active_comm.has_value() ||
+        !proc.comm_queue.empty()) {
+      return false;
+    }
+  }
+  for (const Event& event : s_.events) {
+    switch (event.type) {
+      case EventType::TaskDone:
+      case EventType::CommDone:
+      case EventType::TransferDone:
+      case EventType::WorkflowArrival:
+        return false;
+      default:
+        break;
+    }
+  }
+  return true;
+}
+
 void Run::record_fault(FaultKind kind, std::int32_t entity) {
   if (options_.record_trace) {
     s_.trace.faults.push_back(FaultRecord{kind, entity, s_.now});
@@ -1195,11 +1231,14 @@ SimResult Run::execute(EpochObserver* observer) {
     }
     if (s_.finished_count == graph_.num_tasks()) break;
     if (s_.failed) break;  // retry exhaustion: stop gracefully
-    if (s_.events.empty()) {
+    const bool queue_dry = s_.events.empty();
+    if (queue_dry ||
+        (faults_ != nullptr && !s_.epoch_trigger && stalled_under_faults())) {
       throw SimulationError(
           "simulation stalled: " + std::to_string(s_.finished_count) + "/" +
-          std::to_string(graph_.num_tasks()) +
-          " tasks finished, no pending events (policy assigned nothing?)");
+          std::to_string(graph_.num_tasks()) + " tasks finished, " +
+          (queue_dry ? "no pending events" : "only fault events pending") +
+          " (policy assigned nothing?)");
     }
     // Drain the complete batch of events sharing the next timestamp before
     // scheduling again: simultaneous completions must all be visible to the

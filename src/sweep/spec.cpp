@@ -237,8 +237,8 @@ PolicySpec parse_policy(const std::string& token, int line_number) {
     // Run the factory too so semantic errors (chains=0, oracle=warp)
     // also carry the line number; defaults are always factory-valid, so
     // a failure here can only come from this line's overrides.  (The
-    // spec-level legacy knobs are not merged yet — they may appear on
-    // any later line — so validate() re-resolves the effective config.)
+    // policy_defaults lines are not merged yet — they may appear on any
+    // later line — so validate() re-resolves the effective config.)
     sched::PolicyRegistry::instance().make(
         policy.name, sched::config_for_call({policy.name, policy.args}));
   } catch (const std::invalid_argument& error) {
@@ -344,19 +344,8 @@ sched::PolicyConfig effective_policy_config(const SweepSpec& spec,
                                             const PolicySpec& policy) {
   sched::PolicyConfig config =
       sched::PolicyRegistry::instance().make_config(policy.name);
-  // Spec-level legacy knobs first (they are always present, defaulted by
-  // parse_spec), then the policy_defaults line for this base name, then
-  // the per-policy parenthesized overrides — later layers win.
-  if (policy.name == "sa") {
-    config.set_int("max_steps", spec.sa_options.cooling.max_steps);
-    config.set_int("moves", spec.sa_options.moves_per_temperature);
-    config.set_real("wb", spec.sa_options.wb);
-  } else if (policy.name == "gsa") {
-    config.set_int("chains", spec.gsa_options.num_chains);
-    config.set_int("max_steps", spec.gsa_options.cooling.max_steps);
-    config.set_int("moves", spec.gsa_options.moves_per_temperature);
-    config.set_string("oracle", sa::to_string(spec.gsa_options.oracle));
-  }
+  // The policy_defaults line for this base name, then the per-policy
+  // parenthesized overrides — later layers win.
   for (const PolicySpec& defaults : spec.policy_defaults) {
     if (defaults.name != policy.name) continue;
     for (const auto& [key, value] : defaults.args) {
@@ -561,23 +550,10 @@ void SweepSpec::validate() const {
   for (const std::string& spec : topologies) {
     topo::by_name(spec);
   }
-  sa_options.validate();
-  gsa_options.cooling.validate();
-  if (gsa_options.num_chains <= 0) {
-    throw std::invalid_argument(
-        "sweep spec: gsa_chains must be explicit and positive (auto chain "
-        "counts would make results depend on the host)");
-  }
 }
 
 SweepSpec parse_spec(const std::string& text) {
   SweepSpec spec;
-  // The sweep's gsa defaults diverge from GlobalAnnealOptions': chains are
-  // pinned (host-independent results) and the schedule is shortened so a
-  // thousand-instance sweep stays tractable.
-  spec.gsa_options.num_chains = 2;
-  spec.gsa_options.cooling.max_steps = 24;
-
   std::istringstream stream(text);
   std::string raw_line;
   int line_number = 0;
@@ -675,39 +651,6 @@ SweepSpec parse_spec(const std::string& text) {
           (range->lo != static_cast<std::int64_t>(range->lo) ||
            range->hi != static_cast<std::int64_t>(range->hi))) {
         fail(line_number, key + " takes integers");
-      }
-    } else if (key == "sa_max_steps" || key == "sa_moves" ||
-               key == "gsa_chains" || key == "gsa_max_steps" ||
-               key == "gsa_moves" || key == "gsa_oracle") {
-      // Legacy spec-level policy knobs: still honored (defaults applied
-      // to every line of that policy), but policy_defaults is the
-      // explicit replacement.
-      const std::string base = key.rfind("gsa_", 0) == 0 ? "gsa" : "sa";
-      spec.warnings.push_back(
-          "line " + std::to_string(line_number) + ": '" + key +
-          "' is deprecated; use 'policy_defaults " + base + "(" +
-          key.substr(base.size() + 1) + "=" + value + ")'");
-      if (key == "sa_max_steps") {
-        spec.sa_options.cooling.max_steps =
-            static_cast<int>(parse_integer(value, line_number));
-      } else if (key == "sa_moves") {
-        spec.sa_options.moves_per_temperature =
-            static_cast<int>(parse_integer(value, line_number));
-      } else if (key == "gsa_chains") {
-        spec.gsa_options.num_chains =
-            static_cast<int>(parse_integer(value, line_number));
-      } else if (key == "gsa_max_steps") {
-        spec.gsa_options.cooling.max_steps =
-            static_cast<int>(parse_integer(value, line_number));
-      } else if (key == "gsa_moves") {
-        spec.gsa_options.moves_per_temperature =
-            static_cast<int>(parse_integer(value, line_number));
-      } else {  // gsa_oracle
-        try {
-          spec.gsa_options.oracle = sa::cost_oracle_kind_from_string(value);
-        } catch (const std::invalid_argument& error) {
-          fail(line_number, error.what());
-        }
       }
     } else if (key == "time_budget_ms") {
       spec.time_budget_ms = parse_number(value, line_number);

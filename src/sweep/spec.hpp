@@ -17,11 +17,8 @@
 //   comm_tau_us 6:12                 # receive/route overhead range
 //   comm_send_cpu per_task_output,offloaded   # SendCpu choice set
 //   threads 0                        # 0 = hardware concurrency
-//   gsa_chains 2                     # chains for the "gsa" policy
-//   gsa_max_steps 24                 # temperature steps for "gsa"
-//   gsa_oracle auto                  # auto | incremental | full
 //   time_budget_ms 0                 # per-(instance, policy) wall budget
-//   policy_defaults gsa(chains=4)    # defaults for every gsa line
+//   policy_defaults gsa(chains=4,oracle=auto)  # defaults for every gsa line
 //   fault_machine_mtbf_us 0          # 0 disables machine crashes
 //   fault_machine_mttr_us 200        # repair time range (integer us)
 //   fault_link_mtbf_us 0             # 0 disables link faults
@@ -60,18 +57,14 @@
 // (`sweep --list-policies` prints them).  The same base policy may appear
 // several times with different hyperparameters, which makes policy
 // configuration an ablation axis of its own (e.g. `gsa(chains=2)` vs
-// `gsa(chains=8)`).  The legacy spec-level knobs (sa_max_steps, sa_moves,
-// gsa_chains, gsa_max_steps, gsa_moves, gsa_oracle) remain supported as
-// defaults applied to every instance of that policy; parenthesized
-// overrides win over them.
+// `gsa(chains=8)`).  A `policy_defaults` line sets defaults for every
+// line of that base policy; parenthesized overrides win over them.
 
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/annealer.hpp"
-#include "core/global_annealer.hpp"
 #include "sched/registry.hpp"
 #include "sim/faults.hpp"
 #include "topology/comm_model.hpp"
@@ -233,14 +226,9 @@ struct SweepSpec {
 
   /// `policy_defaults name(key=value,...)` lines: construction-time
   /// defaults applied to every policy line of that base name, between the
-  /// legacy spec-level knobs and the per-policy parenthesized overrides
-  /// (which win).  At most one line per base name.
+  /// registry defaults and the per-policy parenthesized overrides (which
+  /// win).  At most one line per base name.
   std::vector<PolicySpec> policy_defaults;
-
-  /// Non-fatal diagnostics collected while parsing (currently: the legacy
-  /// sa_*/gsa_* knobs are deprecated in favor of policy_defaults).
-  /// Drivers print them to stderr; they never affect results.
-  std::vector<std::string> warnings;
 
   /// Per-(instance, policy) wall-clock budget in milliseconds; 0 = none.
   /// The gsa policy stops cooperatively between temperature steps and
@@ -252,19 +240,6 @@ struct SweepSpec {
   /// unattended.
   double time_budget_ms = 0.0;
 
-  /// Legacy spec-level options for the "sa" policy; seed is set per
-  /// instance.  Only the fields with registry config keys are forwarded
-  /// into policy construction (max_steps -> cooling.max_steps, moves ->
-  /// moves_per_temperature, wb), via effective_policy_config();
-  /// parenthesized per-policy overrides win over these.
-  sa::AnnealOptions sa_options;
-  /// Legacy spec-level options for the "gsa" policy; seed set per
-  /// instance.  num_chains defaults to 2 (explicit, never 0, so results
-  /// do not depend on the host's core count) and max_steps to 24 to keep
-  /// thousand-instance sweeps tractable.  Forwarded fields: num_chains,
-  /// cooling.max_steps, moves_per_temperature, oracle.
-  sa::GlobalAnnealOptions gsa_options;
-
   /// Instances per full sweep: sum(family count) * |topologies|.
   int num_instances() const;
 
@@ -274,11 +249,9 @@ struct SweepSpec {
 };
 
 /// The effective construction-time config of `policy` under `spec`: the
-/// registry defaults, overwritten by the spec-level legacy knobs for that
-/// policy name (see sa_options / gsa_options above), overwritten by the
-/// matching `policy_defaults` line, overwritten by the policy's own
-/// parenthesized overrides.  The seed is left at its
-/// default; the runner assigns one per (instance, policy).  Throws
+/// registry defaults, overwritten by the matching `policy_defaults` line,
+/// overwritten by the policy's own parenthesized overrides.  The seed is
+/// left at its default; the runner assigns one per (instance, policy).  Throws
 /// std::invalid_argument for unknown policy names or config keys.
 sched::PolicyConfig effective_policy_config(const SweepSpec& spec,
                                             const PolicySpec& policy);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <tuple>
 
+#include "core/incremental_cost.hpp"
 #include "sweep/params.hpp"
 #include "util/csv.hpp"
 #include "util/json.hpp"
@@ -458,12 +459,13 @@ std::string summary_json(const SweepResult& result,
       emit_range(*arrival_ranges[i]);
     }
   }
-  // Echo the *resolved* oracle kind: the default kAuto resolves through
-  // the registry's capability traits, and emitting the resolution keeps
-  // old-spec artifacts byte-identical ("incremental") across the change.
+  // The gsa oracle a bare `policy gsa` line resolves to (kAuto through the
+  // registry's capability traits).  Kept so artifacts stay byte-identical
+  // with those written when the oracle was a spec-level knob; per-line
+  // `oracle=` overrides never change results, only their cost.
   w.key("gsa_oracle");
   w.value(sa::to_string(
-      sa::resolve_cost_oracle_kind(spec.gsa_options.oracle)));
+      sa::resolve_cost_oracle_kind(sa::CostOracleKind::kAuto)));
   w.key("time_budget_ms");
   w.value(spec.time_budget_ms);
   w.key("topologies");

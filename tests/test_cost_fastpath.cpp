@@ -139,58 +139,6 @@ TEST(CostFastPath, DeltaConsistencyProperty) {
   EXPECT_GT(moves_seen[static_cast<int>(MoveKind::Replace)], 0);
 }
 
-// The SoA batch entry points must be bit-identical to per-move pricing:
-// move_parts_batch against move_parts for mixed random batches, and the
-// vectorized slot_move_totals column sweep against a Move-kind
-// move_parts for every (task, from, to) triple.
-TEST(CostFastPath, BatchPricingBitIdenticalToScalar) {
-  Rng rng(4242);
-  const CommModel comm = CommModel::paper_default();
-  for (const Topology& topology :
-       {topo::hypercube(3), topo::ring(6), topo::bus(4)}) {
-    const int n = static_cast<int>(rng.uniform_int(2, 24));
-    const AnnealingPacket packet = random_packet(n, topology, rng);
-    const PacketCostModel cost(packet, topology, comm, 0.5, 0.5);
-    Mapping mapping = Mapping::initial(packet, InitKind::Random, rng);
-
-    // Mixed-kind random batch through move_parts_batch.
-    std::vector<Move> moves;
-    for (int i = 0; i < 64; ++i) {
-      Move move;
-      if (!mapping.propose(packet, rng, move)) break;
-      moves.push_back(move);
-      if (rng.bernoulli(0.5)) mapping.apply(move);
-    }
-    std::vector<MoveDelta> batch(moves.size());
-    cost.move_parts_batch(moves, batch);
-    for (std::size_t i = 0; i < moves.size(); ++i) {
-      const MoveDelta scalar = cost.move_parts(moves[i]);
-      EXPECT_EQ(batch[i].d_load, scalar.d_load);
-      EXPECT_EQ(batch[i].d_comm, scalar.d_comm);
-      EXPECT_EQ(batch[i].d_total, scalar.d_total);
-    }
-
-    // Column sweep: every (from, to) slot pair over all tasks.
-    std::vector<double> totals(static_cast<std::size_t>(n));
-    for (int from = 0; from < packet.num_procs(); ++from) {
-      for (int to = 0; to < packet.num_procs(); ++to) {
-        cost.slot_move_totals(from, to, totals);
-        for (int t = 0; t < n; ++t) {
-          Move move;
-          move.kind = MoveKind::Move;
-          move.task_a = t;
-          move.from_proc = from;
-          move.to_proc = to;
-          EXPECT_EQ(totals[static_cast<std::size_t>(t)],
-                    cost.move_parts(move).d_total)
-              << topology.name() << " task " << t << " " << from << "->"
-              << to;
-        }
-      }
-    }
-  }
-}
-
 // The accept path is pure bookkeeping (it adds the move_parts components
 // instead of recomputing comm costs); the running cost must still agree
 // with a from-scratch evaluation of the returned mapping.

@@ -206,6 +206,56 @@ TEST(FaultEngine, RetryExhaustionIsAStructuredFailure) {
   EXPECT_EQ(result.num_retries, faults.max_retries);
 }
 
+/// HLF until the first epoch that sees a processor down; nothing after.
+class GiveUpAfterCrash : public sim::SchedulingPolicy {
+ public:
+  void on_run_start(const TaskGraph& graph, const Topology& topology,
+                    const CommModel& comm) override {
+    hlf_->on_run_start(graph, topology, comm);
+  }
+  void on_epoch(sim::EpochContext& ctx) override {
+    gave_up_ = gave_up_ || !ctx.down_procs().empty();
+    if (!gave_up_) hlf_->on_epoch(ctx);
+  }
+  std::string name() const override { return "give-up-after-crash"; }
+  bool gave_up() const { return gave_up_; }
+
+ private:
+  std::unique_ptr<sim::SchedulingPolicy> hlf_ =
+      std::make_unique<sched::HlfScheduler>();
+  bool gave_up_ = false;
+};
+
+/// Fault cursors keep the event queue populated forever, so a policy that
+/// stops assigning must be caught by state, not by an empty queue: the run
+/// reports the same stall a zero-fault run does, long before the event
+/// budget runs out.
+TEST(FaultEngine, StalledPolicyIsCaughtUnderActiveFaults) {
+  const TaskGraph graph = gen::layered_dag({});
+  const Topology ring = topo::ring(4);
+  const CommModel comm = CommModel::paper_default();
+  sim::FaultSpec faults;
+  faults.machine_mtbf = us(std::int64_t{150});
+  faults.machine_mttr = us(std::int64_t{40});
+  faults.stall_mtbf = us(std::int64_t{200});
+  faults.seed = 99;
+
+  sim::SimOptions options;
+  options.faults = &faults;
+  options.record_trace = false;
+  options.max_events = 20000;
+  GiveUpAfterCrash policy;
+  try {
+    sim::simulate(graph, ring, comm, policy, options);
+    ADD_FAILURE() << "the run finished; no crash reached the policy";
+  } catch (const sim::SimulationError& error) {
+    EXPECT_NE(std::string(error.what()).find("simulation stalled"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_TRUE(policy.gave_up());
+}
+
 TEST(FaultEngine, ZeroFaultSpecPointerIsAFastPathNoOp) {
   // An inactive spec behind the pointer must leave results bit-identical
   // to a run with no spec at all.
@@ -355,7 +405,7 @@ TEST(FaultConfig, RepinSchedulerRejectsBadMappings) {
 }
 
 // ---------------------------------------------------------------------------
-// Spec surface: fault knobs, policy_defaults, deprecation warnings.
+// Spec surface: fault knobs, policy_defaults.
 
 const char* kFaultySpec = R"(
 seed 21
@@ -409,14 +459,14 @@ TEST(FaultSpecParse, PolicyDefaultsLayerBetweenLegacyAndParens) {
 seed 1
 comm off
 topology ring:4
-sa_max_steps 12
 policy_defaults sa(max_steps=9,moves=3)
 policy sa
 policy sa(max_steps=5)
 family diamond count=1 width=4
 )";
   const sweep::SweepSpec spec = sweep::parse_spec(text);
-  // policy_defaults wins over the deprecated spec-level knob...
+  // policy_defaults wins over the registry defaults (max_steps=60,
+  // moves=0)...
   const auto plain = sweep::effective_policy_config(spec, spec.policies[0]);
   EXPECT_EQ(plain.get_int("max_steps"), 9);
   EXPECT_EQ(plain.get_int("moves"), 3);
@@ -425,26 +475,6 @@ family diamond count=1 width=4
       sweep::effective_policy_config(spec, spec.policies[1]);
   EXPECT_EQ(overridden.get_int("max_steps"), 5);
   EXPECT_EQ(overridden.get_int("moves"), 3);
-}
-
-TEST(FaultSpecParse, LegacyKnobsWarnButStillApply) {
-  const char* text = R"(
-seed 1
-comm off
-topology ring:4
-sa_max_steps 12
-gsa_chains 3
-policy sa
-family diamond count=1 width=4
-)";
-  const sweep::SweepSpec spec = sweep::parse_spec(text);
-  ASSERT_EQ(spec.warnings.size(), 2u);
-  EXPECT_NE(spec.warnings[0].find("deprecated"), std::string::npos);
-  EXPECT_NE(spec.warnings[0].find("policy_defaults"), std::string::npos);
-  EXPECT_NE(spec.warnings[0].find("sa_max_steps"), std::string::npos);
-  // The knob still works — deprecation is a warning, not a break.
-  const auto config = sweep::effective_policy_config(spec, spec.policies[0]);
-  EXPECT_EQ(config.get_int("max_steps"), 12);
 }
 
 TEST(FaultSpecParse, PolicyDefaultsRejectsUnknownPolicyAndDuplicates) {

@@ -2,10 +2,11 @@
 // *exactly* equivalent to the full pinned replay: bit-identical makespans
 // for every proposal, over randomized graphs, topologies and move
 // sequences, including accepted moves (which rebuild the cached
-// timeline).  Plus the fallback boundaries: empty damage frontier (no-op
-// move), frontier covering the whole graph (full-replay fallback) and
-// single-processor topologies.  Also covers the ResumableEngine
-// checkpoint/resume contract the oracle is built on.
+// timeline), some of them priced from the per-baseline memo.  Plus the
+// fallback boundaries: empty damage frontier (no-op move), frontier
+// covering the whole graph (full-replay fallback) and single-processor
+// topologies.  Also covers the ResumableEngine checkpoint/resume
+// contract the oracle is built on.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +24,6 @@
 namespace dagsched {
 namespace {
 
-using sa::CostOracle;
 using sa::CostOracleKind;
 using sa::FullReplayOracle;
 using sa::IncrementalReplay;
@@ -81,6 +81,26 @@ void check_equivalence(const TaskGraph& graph, const Topology& topology,
     // sequence exercises both the rejected path (baseline untouched) and
     // the accepted path (timeline splice).
     if (inc < base_inc || move % 3 == 0) {
+      if (move % 2 == 0 && new_proc != old_proc) {
+        // Accept from the memo: price another move against the same
+        // baseline first, then redraw this one (a memo hit, no
+        // simulation); the splice must be as exact as after a priced
+        // proposal, which the later proposals check.
+        current[task] = old_proc;
+        const auto other = rng.uniform_index(current.size());
+        const ProcId other_old = current[other];
+        current[other] = static_cast<ProcId>(rng.uniform_index(
+            static_cast<std::size_t>(topology.num_procs())));
+        ASSERT_EQ(incremental.propose(current, static_cast<TaskId>(other)),
+                  full.propose(current, static_cast<TaskId>(other)));
+        current[other] = other_old;
+        current[task] = new_proc;
+        const std::int64_t memo_hits = incremental.stats().memo_hits;
+        ASSERT_EQ(incremental.propose(current, static_cast<TaskId>(task)),
+                  inc);
+        ASSERT_EQ(incremental.stats().memo_hits, memo_hits + 1);
+        full.propose(current, static_cast<TaskId>(task));
+      }
       incremental.accept();
       full.accept();
     } else {
@@ -235,161 +255,6 @@ TEST(IncrementalCost, SingleProcessorTopology) {
 }
 
 // --- anneal_global level equivalence ---------------------------------------
-
-// --- batched pricing -------------------------------------------------------
-
-/// Random-K batched pricing against both implementations — the
-/// incremental workspace-reusing override and the base-class propose()
-/// loop (FullReplayOracle) — asserting every priced candidate is
-/// bit-identical to a sequential propose() of the same single-task move,
-/// including after an accept-path repricing adopts a candidate and
-/// rebuilds the baseline timeline.
-void check_batch_pricing(const TaskGraph& graph, const Topology& topology,
-                         const CommModel& comm, std::uint64_t seed,
-                         int num_rounds) {
-  Rng rng(seed);
-  const auto num_procs = static_cast<std::size_t>(topology.num_procs());
-  ASSERT_GE(num_procs, 2u);
-  std::vector<ProcId> current = random_mapping(graph, topology, rng);
-
-  IncrementalReplay batched(graph, topology, comm);
-  IncrementalReplay sequential(graph, topology, comm);
-  FullReplayOracle full(graph, topology, comm);
-  ASSERT_EQ(batched.reset(current), sequential.reset(current));
-  full.reset(current);
-
-  std::vector<CostOracle::MoveCandidate> candidates;
-  std::vector<Time> batch_makespans;
-  std::vector<Time> full_makespans;
-  std::vector<ProcId> trial;
-  for (int round = 0; round < num_rounds; ++round) {
-    // Random batch size of real moves (the price_batch contract forbids
-    // no-ops), plus a deliberate duplicate so the memo path prices the
-    // same candidate twice within one batch.
-    const int k = 1 + static_cast<int>(rng.uniform_index(8));
-    candidates.clear();
-    for (int j = 0; j < k; ++j) {
-      CostOracle::MoveCandidate c;
-      c.task = static_cast<TaskId>(rng.uniform_index(current.size()));
-      const auto t = static_cast<std::size_t>(c.task);
-      c.proc = static_cast<ProcId>(
-          (static_cast<std::size_t>(current[t]) + 1 +
-           rng.uniform_index(num_procs - 1)) %
-          num_procs);
-      candidates.push_back(c);
-    }
-    if (k > 1) candidates.push_back(candidates.front());
-
-    batched.price_batch(current, candidates, batch_makespans);
-    full.price_batch(current, candidates, full_makespans);
-    ASSERT_EQ(batch_makespans.size(), candidates.size());
-    ASSERT_EQ(full_makespans.size(), candidates.size());
-
-    trial = current;
-    for (std::size_t j = 0; j < candidates.size(); ++j) {
-      const auto t = static_cast<std::size_t>(candidates[j].task);
-      trial[t] = candidates[j].proc;
-      const Time seq = sequential.propose(trial, candidates[j].task);
-      ASSERT_EQ(batch_makespans[j], seq)
-          << "seed " << seed << ", round " << round << ", candidate " << j
-          << ": incremental batch disagrees with sequential propose";
-      ASSERT_EQ(full_makespans[j], seq)
-          << "seed " << seed << ", round " << round << ", candidate " << j
-          << ": base-class batch loop disagrees with sequential propose";
-      trial[t] = current[t];
-    }
-
-    // Accept-path repricing: adopting a candidate re-proposes it (a memo
-    // hit on the incremental oracle) and splices the timeline; later
-    // rounds then price against the rebuilt baseline.
-    const std::size_t adopt = rng.uniform_index(candidates.size());
-    const auto adopt_task = static_cast<std::size_t>(candidates[adopt].task);
-    trial = current;
-    trial[adopt_task] = candidates[adopt].proc;
-    const Time readopted = batched.propose(trial, candidates[adopt].task);
-    ASSERT_EQ(readopted, batch_makespans[adopt])
-        << "seed " << seed << ", round " << round
-        << ": accept-path repricing changed the candidate's makespan";
-    ASSERT_EQ(readopted, sequential.propose(trial, candidates[adopt].task));
-    batched.accept();
-    sequential.accept();
-    full.propose(trial, candidates[adopt].task);
-    full.accept();
-    current = trial;
-  }
-
-  // The incremental path must actually have been exercised.
-  EXPECT_GT(batched.stats().resumed_replays, 0)
-      << "seed " << seed << " never resumed from a checkpoint";
-}
-
-TEST(BatchOracle, RandomBatchesMatchSequentialOnGnpGraphs) {
-  const CommModel comm = CommModel::paper_default();
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    gen::GnpDagOptions options;
-    options.num_tasks = 28 + static_cast<int>(seed) * 6;
-    options.edge_probability =
-        0.07 + 0.01 * static_cast<double>(seed % 4);
-    options.seed = seed;
-    const TaskGraph graph = gen::gnp_dag(options);
-    const Topology topology =
-        seed % 2 == 0 ? topo::hypercube(3) : topo::mesh(2, 3);
-    check_batch_pricing(graph, topology, comm, seed * 131 + 7, 10);
-  }
-}
-
-TEST(BatchOracle, RandomBatchesMatchSequentialOnStructuredFamilies) {
-  const TaskGraph graphs[] = {
-      gen::fork_join(3, 6, us(std::int64_t{5}), us(std::int64_t{20}),
-                     us(std::int64_t{5}), us(std::int64_t{4})),
-      gen::diamond(10, us(std::int64_t{5}), us(std::int64_t{15}),
-                   us(std::int64_t{5}), us(std::int64_t{4})),
-  };
-  const Topology topologies[] = {topo::ring(4), topo::star(5)};
-  std::uint64_t seed = 11;
-  for (const TaskGraph& graph : graphs) {
-    for (const Topology& topology : topologies) {
-      check_batch_pricing(graph, topology, CommModel::paper_default(),
-                          seed++, 10);
-    }
-  }
-  // Zero-cost communication exercises the degenerate-delta branches.
-  check_batch_pricing(graphs[1], topo::hypercube(2),
-                      CommModel::disabled(), seed, 10);
-}
-
-TEST(BatchOracle, AnnealGlobalTrajectoryIsBatchCapIndependent) {
-  // Batching only pre-draws proposals; for any cap the rewind-on-accept
-  // protocol must reproduce the sequential trajectory exactly — best
-  // mapping, makespan, history, and simulation count all included.
-  const CommModel comm = CommModel::paper_default();
-  gen::GnpDagOptions graph_options;
-  graph_options.num_tasks = 35;
-  graph_options.seed = 23;
-  const TaskGraph graph = gen::gnp_dag(graph_options);
-  const Topology topology = topo::hypercube(2);
-
-  sa::GlobalAnnealOptions options;
-  options.cooling.max_steps = 12;
-  options.seed = 23;
-  options.num_chains = 2;
-  options.oracle = CostOracleKind::kIncremental;
-
-  options.batch_proposals = 1;
-  const sa::GlobalAnnealResult sequential =
-      sa::anneal_global(graph, topology, comm, options);
-  for (int cap : {4, 64}) {
-    options.batch_proposals = cap;
-    const sa::GlobalAnnealResult batched =
-        sa::anneal_global(graph, topology, comm, options);
-    EXPECT_EQ(sequential.makespan, batched.makespan) << "cap " << cap;
-    EXPECT_EQ(sequential.mapping, batched.mapping) << "cap " << cap;
-    EXPECT_EQ(sequential.initial_makespan, batched.initial_makespan);
-    EXPECT_EQ(sequential.simulations, batched.simulations) << "cap " << cap;
-    EXPECT_EQ(sequential.history, batched.history) << "cap " << cap;
-    EXPECT_EQ(sequential.chain_makespans, batched.chain_makespans);
-  }
-}
 
 TEST(IncrementalCost, AnnealGlobalIsOracleIndependent) {
   // The whole annealing trajectory — best mapping, makespan, history,

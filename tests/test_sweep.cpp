@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/incremental_cost.hpp"
 #include "graph/taskgraph.hpp"
 #include "sweep/params.hpp"
 #include "sweep/runner.hpp"
@@ -30,7 +31,7 @@ topology line:3
 policy sa
 policy hlf
 policy random
-sa_max_steps 12
+policy_defaults sa(max_steps=12)
 family gnp count=3 tasks=10:16 edge_probability=0.15
 family diamond count=2 width=4:8
 )";
@@ -47,7 +48,9 @@ TEST(SweepSpec, ParsesEveryField) {
   EXPECT_EQ(spec.policies[0].name, "sa");
   EXPECT_TRUE(spec.policies[0].args.empty());
   EXPECT_EQ(spec.policies[0].canonical(), "sa");
-  EXPECT_EQ(spec.sa_options.cooling.max_steps, 12);
+  EXPECT_EQ(sweep::effective_policy_config(spec, spec.policies[0])
+                .get_int("max_steps"),
+            12);
   ASSERT_EQ(spec.families.size(), 2u);
   EXPECT_EQ(spec.families[0].kind, sweep::FamilyKind::Gnp);
   EXPECT_EQ(spec.families[0].count, 3);
@@ -202,8 +205,7 @@ seed 7
 topology ring:4
 policy gsa
 policy hlf
-gsa_chains 1
-gsa_max_steps 6
+policy_defaults gsa(chains=1,max_steps=6)
 family diamond count=2 width=4:6
 )");
   spec.threads = 2;
@@ -220,22 +222,36 @@ TEST(SweepSpec, ParsesOracleAndTimeBudgetKnobs) {
 seed 1
 topology ring:3
 policy gsa
-gsa_chains 1
-gsa_oracle full
+policy_defaults gsa(chains=1,oracle=full)
 time_budget_ms 250.5
 family chain count=1 length=4
 )");
-  EXPECT_EQ(spec.gsa_options.oracle, sa::CostOracleKind::kFullReplay);
+  EXPECT_EQ(sa::cost_oracle_kind_from_string(
+                sweep::effective_policy_config(spec, spec.policies[0])
+                    .get_string("oracle")),
+            sa::CostOracleKind::kFullReplay);
   EXPECT_DOUBLE_EQ(spec.time_budget_ms, 250.5);
   // The default is capability-driven resolution, which lands on the
   // incremental oracle (the pinned replay policy is pure-decision).
-  EXPECT_EQ(small_spec().gsa_options.oracle, sa::CostOracleKind::kAuto);
-  EXPECT_EQ(sa::resolve_cost_oracle_kind(small_spec().gsa_options.oracle),
+  const sweep::SweepSpec bare = sweep::parse_spec(
+      "policy gsa\ntopology ring:3\nfamily chain count=1 length=4\n");
+  const sa::CostOracleKind bare_kind = sa::cost_oracle_kind_from_string(
+      sweep::effective_policy_config(bare, bare.policies[0])
+          .get_string("oracle"));
+  EXPECT_EQ(bare_kind, sa::CostOracleKind::kAuto);
+  EXPECT_EQ(sa::resolve_cost_oracle_kind(bare_kind),
             sa::CostOracleKind::kIncremental);
 }
 
 TEST(SweepSpec, RejectsBadOracleAndBudget) {
-  EXPECT_THROW(sweep::parse_spec("gsa_oracle warp\n"),
+  const char* tail = "topology ring:3\nfamily chain count=1\n";
+  EXPECT_THROW(sweep::parse_spec(std::string("policy gsa(oracle=warp)\n") +
+                                 tail),
+               std::invalid_argument);
+  EXPECT_THROW(sweep::parse_spec(std::string("policy gsa\n"
+                                             "policy_defaults "
+                                             "gsa(oracle=warp)\n") +
+                                 tail),
                std::invalid_argument);
   EXPECT_THROW(sweep::parse_spec("time_budget_ms -5\n"),
                std::invalid_argument);
@@ -274,20 +290,59 @@ TEST(SweepSpec, NumberFieldsKeepTheirAcceptedForms) {
   EXPECT_EQ(message("-0x1"), "sweep spec line 4: time_budget_ms must be >= 0");
 }
 
+// The spec-level sa_*/gsa_* knobs are retired in favor of policy_defaults
+// lines; each now fails like any other unknown key, with its line number.
+TEST(SweepSpec, RetiredAnnealerKnobsAreUnknownKeys) {
+  for (const char* key : {"sa_max_steps", "sa_moves", "gsa_chains",
+                          "gsa_max_steps", "gsa_moves", "gsa_oracle"}) {
+    const std::string text = std::string("seed 1\ntopology ring:3\n") +
+                             key + " 2\npolicy gsa\n" +
+                             "family chain count=1 length=4\n";
+    try {
+      sweep::parse_spec(text);
+      ADD_FAILURE() << key << " still parses";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()),
+                std::string("sweep spec line 3: unknown key '") + key + "'");
+    }
+  }
+}
+
+// Bare annealer lines run on the registry defaults: the configuration the
+// perfbench sweep_anneal spec runs (gsa: 2 chains, 24 steps, auto oracle).
+TEST(SweepSpec, BareAnnealerPoliciesGetRegistryDefaults) {
+  const sweep::SweepSpec spec = sweep::parse_spec(
+      "policy sa\npolicy gsa\ntopology ring:3\n"
+      "family chain count=1 length=4\n");
+  const sched::PolicyRegistry& registry = sched::PolicyRegistry::instance();
+  const sched::PolicyConfig sa_config =
+      sweep::effective_policy_config(spec, spec.policies[0]);
+  const sched::PolicyConfig gsa_config =
+      sweep::effective_policy_config(spec, spec.policies[1]);
+  EXPECT_EQ(sa_config.canonical(), registry.make_config("sa").canonical());
+  EXPECT_EQ(gsa_config.canonical(), registry.make_config("gsa").canonical());
+  EXPECT_EQ(sa_config.get_int("max_steps"), 60);
+  EXPECT_EQ(sa_config.get_int("moves"), 0);
+  EXPECT_EQ(sa_config.get_real("wb"), 0.5);
+  EXPECT_EQ(gsa_config.get_int("chains"), 2);
+  EXPECT_EQ(gsa_config.get_int("max_steps"), 24);
+  EXPECT_EQ(gsa_config.get_int("moves"), 0);
+  EXPECT_EQ(gsa_config.get_string("oracle"), "auto");
+}
+
 TEST(SweepRunner, OracleChoiceNeverChangesResults) {
   sweep::SweepSpec spec = sweep::parse_spec(R"(
 seed 31
 topology ring:4
 policy gsa
 policy hlf
-gsa_chains 1
-gsa_max_steps 6
+policy_defaults gsa(chains=1,max_steps=6)
 family gnp count=2 tasks=12:18
 )");
   spec.threads = 1;
-  spec.gsa_options.oracle = sa::CostOracleKind::kFullReplay;
+  spec.policies[0].args = {{"oracle", "full"}};
   const sweep::SweepResult full = sweep::run_sweep(spec);
-  spec.gsa_options.oracle = sa::CostOracleKind::kIncremental;
+  spec.policies[0].args = {{"oracle", "incremental"}};
   const sweep::SweepResult incremental = sweep::run_sweep(spec);
   ASSERT_EQ(full.instances.size(), incremental.instances.size());
   for (std::size_t i = 0; i < full.instances.size(); ++i) {
@@ -302,7 +357,7 @@ seed 7
 topology ring:4
 policy gsa
 policy hlf
-gsa_chains 1
+policy_defaults gsa(chains=1)
 family diamond count=1 width=6
 )");
   spec.threads = 1;
@@ -535,20 +590,20 @@ TEST(SweepSpec, RejectsBadPolicyLines) {
   // different hyperparameters is a legitimate ablation axis.
   EXPECT_THROW(sweep::parse_spec(std::string("policy gsa(chains=2)\n"
                                              "policy gsa(chains=2)\n"
-                                             "gsa_chains 1") +
+                                             "policy_defaults gsa(chains=1)") +
                                  tail),
                std::invalid_argument);
   const sweep::SweepSpec ablation = sweep::parse_spec(
       std::string("policy gsa(chains=1)\npolicy gsa(chains=2)\n"
-                  "gsa_max_steps 4") +
+                  "policy_defaults gsa(max_steps=4)") +
       tail);
   EXPECT_EQ(ablation.policies.size(), 2u);
 }
 
 TEST(SweepRunner, PolicyHyperparametersApplyEndToEnd) {
-  // `gsa(chains=1,max_steps=6)` must run exactly like the legacy
-  // spec-level knobs `gsa_chains 1` + `gsa_max_steps 6` — same derived
-  // seeds, same makespans — even when the legacy knobs disagree (the
+  // `gsa(chains=1,max_steps=6)` must run exactly like a bare `gsa` line
+  // under `policy_defaults gsa(chains=1,max_steps=6)` — same derived
+  // seeds, same makespans — even when the defaults disagree (the
   // parenthesized overrides win).
   const char* body = R"(
 seed 21
@@ -557,14 +612,16 @@ policy hlf
 family gnp count=2 tasks=10:14
 )";
   sweep::SweepSpec with_args = sweep::parse_spec(
-      std::string("policy gsa(chains=1,max_steps=6)\ngsa_chains 3\n") +
+      std::string("policy gsa(chains=1,max_steps=6)\n"
+                  "policy_defaults gsa(chains=3)\n") +
       body);
-  sweep::SweepSpec legacy = sweep::parse_spec(
-      std::string("policy gsa\ngsa_chains 1\ngsa_max_steps 6\n") + body);
+  sweep::SweepSpec with_defaults = sweep::parse_spec(
+      std::string("policy gsa\npolicy_defaults gsa(chains=1,max_steps=6)\n") +
+      body);
   with_args.threads = 1;
-  legacy.threads = 1;
+  with_defaults.threads = 1;
   const sweep::SweepResult a = sweep::run_sweep(with_args);
-  const sweep::SweepResult b = sweep::run_sweep(legacy);
+  const sweep::SweepResult b = sweep::run_sweep(with_defaults);
   ASSERT_EQ(a.instances.size(), b.instances.size());
   for (std::size_t i = 0; i < a.instances.size(); ++i) {
     EXPECT_EQ(a.instances[i].makespans, b.instances[i].makespans);

@@ -180,7 +180,7 @@ elif [[ -f "${smoke_dir}/bench_perf" || -x "${smoke_dir}/bench_perf" ]] ||
     --benchmark_repetitions=3
   python3 "${repo_root}/tools/bench_diff.py" --git-baseline HEAD "${out}" \
     --strict \
-    --strict-filter 'BM_AnnealPacket|BM_MoveDelta|BM_PacketCostEvaluate|BM_TaskLevels|BM_GlobalOracleBatch' \
+    --strict-filter 'BM_AnnealPacket|BM_MoveDelta|BM_PacketCostEvaluate|BM_TaskLevels|BM_GlobalOracle/incremental' \
     --threshold 0.30
 else
   skip "bench-check (google-benchmark not available)"

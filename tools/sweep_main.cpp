@@ -232,9 +232,6 @@ int main(int argc, char** argv) {
     if (override_seed) spec.seed = seed;
     if (override_budget) spec.time_budget_ms = time_budget_ms;
     spec.validate();
-    for (const std::string& warning : spec.warnings) {
-      std::cerr << "sweep: warning: " << warning << "\n";
-    }
 
     if (!quiet) {
       std::cerr << "sweep: " << spec.num_instances() << " instances ("
